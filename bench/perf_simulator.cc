@@ -12,10 +12,7 @@
  *    section written by perf_extent_map. --ops=N scales the trace
  *    (CI smoke uses a small N); --reps=R controls timing repeats;
  *    --baseline-ops=X is the pre-optimization serial
- *    log-structured ops/sec the ratio is computed against. The
- *    section also carries a sharded leg (the LS replay at 4
- *    replay shards on a dedicated pool) with its throughput ratio
- *    over serial and a byte-identity check of the two SimResults.
+ *    log-structured ops/sec the ratio is computed against.
  */
 
 #include <benchmark/benchmark.h>
@@ -29,7 +26,6 @@
 
 #include "bench_json.h"
 #include "stl/simulator.h"
-#include "sweep/task_pool.h"
 #include "util/random.h"
 
 namespace
@@ -206,41 +202,13 @@ runJsonMode(const std::string &path, std::size_t ops, int reps,
     const double ratio =
         baseline_ops > 0.0 ? ls_ops_per_sec / baseline_ops : 0.0;
 
-    // Sharded leg: the LS replay again, with per-batch seek
-    // classification fanned over 4 shards on a small dedicated
-    // pool. Must be byte-identical to the serial SimResult.
-    stl::SimConfig ls_sharded = ls;
-    ls_sharded.replayShards = 4;
-    sweep::TaskPool shard_pool(3);
-    ls_sharded.shardExecutor = sweep::makeShardExecutor(shard_pool);
-    const double sharded_ops =
-        measureOpsPerSec(ls_sharded, trace, reps);
-    const double sharded_ratio =
-        ls_ops_per_sec > 0.0 ? sharded_ops / ls_ops_per_sec : 0.0;
-    const bool sharded_identical =
-        stl::Simulator(ls).run(trace) ==
-        stl::Simulator(ls_sharded).run(trace);
-
     section << "\n    ],\n"
             << "    \"baselineOpsPerSec\": " << baseline_ops
             << ",\n"
-            << "    \"serialReplayRatio\": " << ratio << ",\n"
-            << "    \"shardedOpsPerSec\": " << sharded_ops << ",\n"
-            << "    \"shardedVsSerial\": " << sharded_ratio
-            << ",\n"
-            << "    \"shardedIdentical\": "
-            << (sharded_identical ? "true" : "false") << "\n"
+            << "    \"serialReplayRatio\": " << ratio << "\n"
             << "  }";
     std::cout << "serial LS replay ratio vs baseline: " << ratio
               << "x\n";
-    std::cout << "sharded (4) LS replay vs serial: "
-              << sharded_ratio << "x, byte-identical: "
-              << (sharded_identical ? "yes" : "NO") << "\n";
-    if (!sharded_identical) {
-        std::cerr << "perf_simulator: sharded replay diverged "
-                     "from serial\n";
-        return 1;
-    }
 
     const std::string existing = bench::readFile(path);
     const std::string extent_map =

@@ -10,9 +10,6 @@
  *  - scalar: the serial sweep at --replay-batch 1 (record-at-a-
  *    time); serial over scalar is the batching speedup
  *    ("batchedVsScalar").
- *  - sharded: the serial sweep at 4 replay shards on a dedicated
- *    shard pool; must be byte-identical, and its throughput over
- *    serial is "shardedVsSerial".
  *  - telemetry: the serial sweep with collection armed; must still
  *    be byte-identical (telemetry never touches SimResult), its
  *    wall time over the plain serial leg is the telemetry overhead
@@ -22,6 +19,11 @@
  * cannot demonstrate a speedup; the report then carries
  * "parallelLegValid": false and a warning is printed, so trackers
  * do not read the ~1x speedup as a regression.
+ *
+ * "serialRatioVsBaseline" compares the serial leg with the report
+ * this run overwrites. It is only meaningful on the machine that
+ * wrote that report, so it is null unless the old report's
+ * "hardwareConcurrency" matches this box's.
  *
  * Usage: perf_sweep [scale] [seed] [--jobs N] [--json=path]
  *
@@ -90,12 +92,11 @@ allWorkloads(const workloads::ProfileOptions &profile)
 
 sweep::SweepResult
 runOnce(const workloads::ProfileOptions &profile, int jobs,
-        int replay_batch = 0, int replay_shards = 0)
+        int replay_batch = 0)
 {
     sweep::SweepOptions options;
     options.jobs = jobs;
     options.replayBatchSize = replay_batch;
-    options.replayShards = replay_shards;
     sweep::SweepRunner runner(allWorkloads(profile), fig11Configs(),
                               std::move(options));
     return runner.run();
@@ -109,34 +110,52 @@ deterministicForm(const sweep::SweepResult &sweep)
     return out.str();
 }
 
-/**
- * Serial opsPerSec of the checked-in baseline report at `path`, or
- * 0 when the file or field is absent. Scanned before the file is
- * overwritten, so every run prints its ratio against the previous
- * checked-in numbers.
- */
-double
-baselineSerialOpsPerSec(const std::string &path)
+/** The previous report's serial throughput and the machine's
+ *  hardware concurrency it was measured with. */
+struct Baseline
 {
-    std::ifstream file(path);
-    if (!file)
-        return 0.0;
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    const std::string doc = buffer.str();
-    const std::string serial_key = "\"serial\":";
-    const std::size_t serial_at = doc.find(serial_key);
-    if (serial_at == std::string::npos)
-        return 0.0;
-    const std::string ops_key = "\"opsPerSec\":";
-    const std::size_t ops_at = doc.find(ops_key, serial_at);
-    if (ops_at == std::string::npos)
+    double serialOpsPerSec = 0.0;
+    int hardwareConcurrency = 0;
+};
+
+/** The number after the first `key` at or past `from` in `doc`, or
+ *  0 when the key is absent or not followed by a number. */
+double
+numberAfter(const std::string &doc, const std::string &key,
+            std::size_t from = 0)
+{
+    const std::size_t at = doc.find(key, from);
+    if (at == std::string::npos)
         return 0.0;
     try {
-        return std::stod(doc.substr(ops_at + ops_key.size()));
+        return std::stod(doc.substr(at + key.size()));
     } catch (const std::exception &) {
         return 0.0;
     }
+}
+
+/**
+ * The baseline recorded in the report at `path` (zeros when the
+ * file or a field is absent). Scanned before the file is
+ * overwritten, so every run compares against the previous numbers.
+ */
+Baseline
+readBaseline(const std::string &path)
+{
+    std::ifstream file(path);
+    if (!file)
+        return {};
+    std::ostringstream buffer;
+    buffer << file.rdbuf();
+    const std::string doc = buffer.str();
+    Baseline baseline;
+    baseline.hardwareConcurrency = static_cast<int>(
+        numberAfter(doc, "\"hardwareConcurrency\":"));
+    const std::size_t serial_at = doc.find("\"serial\":");
+    if (serial_at != std::string::npos)
+        baseline.serialOpsPerSec =
+            numberAfter(doc, "\"opsPerSec\":", serial_at);
+    return baseline;
 }
 
 } // namespace
@@ -165,7 +184,12 @@ main(int argc, char **argv)
               << " jobs\n";
 
     // Read the previous checked-in numbers before overwriting them.
-    const double baseline_ops = baselineSerialOpsPerSec(path);
+    // A baseline from a machine with a different core count is not
+    // comparable, so its ratio is withheld.
+    const Baseline baseline = readBaseline(path);
+    const bool baseline_comparable =
+        baseline.serialOpsPerSec > 0.0 &&
+        baseline.hardwareConcurrency == hardware;
 
     const bool parallel_leg_valid = hardware > 1;
     if (!parallel_leg_valid)
@@ -186,10 +210,6 @@ main(int argc, char **argv)
         runOnce(cli->profile, 1, /*replay_batch=*/1);
     const sweep::SweepResult parallel =
         runOnce(cli->profile, parallel_jobs);
-    // Sharded leg: serial cell execution, but each replay's seek
-    // classification fans out over 4 shards on a dedicated pool.
-    const sweep::SweepResult sharded =
-        runOnce(cli->profile, 1, 0, /*replay_shards=*/4);
 
     // Telemetry leg: same serial sweep with collection armed. A
     // fresh-zeroed registry isolates this leg's counts, and the
@@ -205,7 +225,6 @@ main(int argc, char **argv)
     const bool deterministic =
         deterministicForm(serial) == deterministicForm(parallel) &&
         deterministicForm(serial) == deterministicForm(scalar) &&
-        deterministicForm(serial) == deterministicForm(sharded) &&
         deterministicForm(serial) == deterministicForm(instrumented);
     const double speedup =
         parallel.telemetry.wallSec > 0.0
@@ -217,20 +236,14 @@ main(int argc, char **argv)
                   serial.telemetry.wallSec
             : 0.0;
     const double serial_ratio =
-        baseline_ops > 0.0
-            ? serial.telemetry.opsPerSec() / baseline_ops
+        baseline_comparable
+            ? serial.telemetry.opsPerSec() / baseline.serialOpsPerSec
             : 0.0;
     const double batched_vs_scalar =
         scalar.telemetry.wallSec > 0.0 &&
                 serial.telemetry.wallSec > 0.0
             ? serial.telemetry.opsPerSec() /
                   scalar.telemetry.opsPerSec()
-            : 0.0;
-    const double sharded_vs_serial =
-        serial.telemetry.wallSec > 0.0 &&
-                sharded.telemetry.wallSec > 0.0
-            ? sharded.telemetry.opsPerSec() /
-                  serial.telemetry.opsPerSec()
             : 0.0;
 
     std::ostringstream json;
@@ -259,17 +272,14 @@ main(int argc, char **argv)
          << ", \"wallSec\": " << parallel.telemetry.wallSec
          << ", \"opsPerSec\": " << parallel.telemetry.opsPerSec()
          << ", \"steals\": " << parallel.telemetry.steals << "},\n"
-         << "  \"sharded\": {\"jobs\": 1, \"replayShards\": 4, "
-            "\"parallelLegValid\": "
-         << (parallel_leg_valid ? "true" : "false")
-         << ", \"wallSec\": "
-         << sharded.telemetry.wallSec << ", \"opsPerSec\": "
-         << sharded.telemetry.opsPerSec() << "},\n"
          << "  \"speedup\": " << speedup << ",\n"
          << "  \"batchedVsScalar\": " << batched_vs_scalar << ",\n"
-         << "  \"shardedVsSerial\": " << sharded_vs_serial << ",\n"
-         << "  \"serialRatioVsBaseline\": " << serial_ratio
-         << ",\n"
+         << "  \"serialRatioVsBaseline\": ";
+    if (baseline_comparable)
+        json << serial_ratio;
+    else
+        json << "null";
+    json << ",\n"
          << "  \"telemetry\": {\"jobs\": 1, \"wallSec\": "
          << instrumented.telemetry.wallSec << ", \"opsPerSec\": "
          << instrumented.telemetry.opsPerSec()
@@ -287,16 +297,21 @@ main(int argc, char **argv)
     file << json.str();
 
     std::cout << json.str();
-    if (baseline_ops > 0.0)
+    if (baseline_comparable)
         std::cout << "serial ops/sec vs checked-in baseline: "
-                  << serial_ratio << "x (" << baseline_ops
-                  << " -> " << serial.telemetry.opsPerSec()
-                  << ")\n";
+                  << serial_ratio << "x ("
+                  << baseline.serialOpsPerSec << " -> "
+                  << serial.telemetry.opsPerSec() << ")\n";
+    else if (baseline.serialOpsPerSec > 0.0)
+        std::cout << "serial ops/sec vs checked-in baseline: "
+                     "not compared, the baseline is from a different "
+                     "machine (hardwareConcurrency "
+                  << baseline.hardwareConcurrency << ", this box "
+                  << hardware << ")\n";
     std::cout << "batched vs scalar replay: " << batched_vs_scalar
-              << "x; sharded vs serial: " << sharded_vs_serial
               << "x\n";
     std::cout << (deterministic
-                      ? "serial, scalar, parallel and sharded "
+                      ? "serial, scalar, parallel and telemetry "
                         "sweeps byte-identical\n"
                       : "MISMATCH between replay legs!\n");
     return deterministic ? 0 : 1;

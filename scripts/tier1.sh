@@ -6,10 +6,12 @@
 #   default  RelWithDebInfo, the full suite
 #   asan     ASan+UBSan, the full suite
 #   tsan     ThreadSanitizer, the concurrency suites
-#            (TaskPool*/SweepRunner*/Telemetry*/ShardedReplay* —
-#            the sweep runner, its pool, watchdog, cancellation,
-#            checkpoint/resume paths, the sharded telemetry
-#            metrics, and shard-parallel replay classification)
+#            (TaskPool*/SweepRunner*/Telemetry*/IngestReplay* and
+#            the other suites named in the preset's filter — the
+#            sweep runner, its pool, watchdog, cancellation,
+#            checkpoint/resume paths and the per-thread
+#            telemetry cells; replays themselves are serial,
+#            parallelism exists only across sweep cells)
 #
 # The extra mode `bench-smoke` builds the default preset's
 # perf_extent_map / perf_simulator benchmarks and runs them at
@@ -19,10 +21,13 @@
 # the checked-in BENCH_extent_map.json is regenerated manually at
 # full iterations). The smoke artifact records the box's nproc so
 # a ~1x parallel speedup on a 1-CPU runner is not misread as a
-# regression, and a shard-smoke leg replays the Figure 11 sweep
-# once serially and once with --replay-shards 2, diffing the two
-# reports with their timing fields stripped — byte-identical
-# sharding checked end-to-end through the real CLI.
+# regression. A golden leg then runs fig11_saf 0.002 --jobs 1 and
+# crash_recovery_bench through tests/golden/check_golden.sh and
+# diffs their deterministic output (the Figure 11 table, its JSON
+# report with timing fields stripped, the crash-matrix summary)
+# byte for byte against the goldens checked in under
+# tests/golden/ — an absolute check, so a change that moves every
+# cell the same way still fails.
 #
 # The extra mode `fault-smoke` builds device_fault_sweep under the
 # asan preset and runs the fault matrix at small scale with an
@@ -87,21 +92,16 @@ run_bench_smoke() {
     echo "{\"nproc\": $(nproc 2>/dev/null || echo 1)}" \
         > BENCH_nproc.smoke.json
 
-    # Shard-smoke: the sweep CLI end-to-end, serial vs
-    # --replay-shards 2. Timing fields are the only permitted
-    # difference; everything else must be byte-identical.
-    cmake --build --preset default -j "${JOBS}" --target fig11_saf
-    strip_timing() {
-        sed -e '/"telemetry":/d' \
-            -e 's/, "wallSec": [^,}]*, "opsPerSec": [^}]*//' "$1"
-    }
-    build/bench/fig11_saf 0.002 --jobs 1 \
-        --json=/tmp/tier1_serial.json > /dev/null
-    build/bench/fig11_saf 0.002 --jobs 1 --replay-shards 2 \
-        --json=/tmp/tier1_sharded.json > /dev/null
-    diff <(strip_timing /tmp/tier1_serial.json) \
-         <(strip_timing /tmp/tier1_sharded.json)
-    echo "==> tier1: shard-smoke byte-identical"
+    # Golden diff: the paper harnesses end-to-end through the real
+    # CLI, compared byte for byte with the checked-in goldens
+    # (timing fields stripped).
+    cmake --build --preset default -j "${JOBS}" \
+        --target fig11_saf crash_recovery_bench
+    tests/golden/check_golden.sh fig11 build/bench/fig11_saf \
+        /tmp/tier1_golden
+    tests/golden/check_golden.sh crash \
+        build/bench/crash_recovery_bench /tmp/tier1_golden
+    echo "==> tier1: golden outputs byte-identical"
 }
 
 run_fault_smoke() {

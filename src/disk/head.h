@@ -60,30 +60,6 @@ class DiskHead
      */
     SeekInfo access(const SectorExtent &extent, trace::IoType type);
 
-    /**
-     * Pure seek classification against an explicit head position —
-     * access() without the state update. Because a chunk of
-     * consecutive accesses only depends on the position the head
-     * ends the previous chunk at (the end of its last extent),
-     * classification of a partitioned access stream is exact:
-     * classify each chunk against the end of the preceding chunk's
-     * last extent, then fastForward() past the whole stream.
-     */
-    static SeekInfo classify(std::uint64_t expected_next,
-                             const SectorExtent &extent,
-                             trace::IoType type);
-
-    /**
-     * Advance the head as if `accesses` accesses were performed, the
-     * last of which ended at `expected_next`. Pairs with classify()
-     * when accesses were classified out-of-band.
-     */
-    void fastForward(std::uint64_t expected_next,
-                     std::uint64_t accesses);
-
-    /** Sector the next access must start at to avoid a seek. */
-    std::uint64_t expectedNext() const { return expectedNext_; }
-
     /** Total accesses performed. */
     std::uint64_t accessCount() const { return accessCount_; }
 

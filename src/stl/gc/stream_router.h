@@ -17,7 +17,7 @@
  * Everything is a deterministic function of the write sequence — a
  * logical clock ticks once per routed write, intervals are measured
  * in ticks, and the decayed estimates use integer EWMA arithmetic —
- * so replays are byte-identical across jobs, shards and resumes.
+ * so replays are byte-identical across jobs and resumes.
  */
 
 #ifndef LOGSEEK_STL_GC_STREAM_ROUTER_H

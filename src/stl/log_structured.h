@@ -41,8 +41,7 @@ struct ZoneConfig
 /**
  * The write-frontier arithmetic of a (possibly zoned) log: where
  * the next write lands, how much of the current zone is left, and
- * the guard skip when a zone fills. Shared by LogStructuredLayer
- * and ShardedTranslation so the two place writes byte-identically.
+ * the guard skip when a zone fills.
  */
 class LogFrontier
 {

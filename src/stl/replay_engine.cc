@@ -13,7 +13,6 @@
 #include "stl/media_cache.h"
 #include "stl/prefetch.h"
 #include "stl/selective_cache.h"
-#include "stl/sharded_translation.h"
 #include "telemetry/trace_writer.h"
 #include "util/logging.h"
 
@@ -339,33 +338,11 @@ ReplayEngine::ReplayEngine(const SimConfig &config,
     panicIf(config_.replayBatchSize < 1 ||
                 config_.replayBatchSize > 65536,
             "ReplayEngine: replayBatchSize out of [1, 65536]");
-    panicIf(config_.replayShards < 1 || config_.replayShards > 256,
-            "ReplayEngine: replayShards out of [1, 256]");
-    if (config_.replayShards > 1)
-        accounting_.enableDeferred(
-            static_cast<std::size_t>(config_.replayShards),
-            config_.shardExecutor);
 
     // Translation layer. Defragmentation needs a layer that can
     // relocate ranges to the frontier; both log variants can.
-    // Sharding swaps the log-structured layer for its LBA-striped
-    // twin (byte-identical placement and translation after the
-    // engine's contiguity merge); the other layers keep their
-    // single structure and shard accounting only.
     RelocateFn relocate;
-    if (config_.translation == TranslationKind::LogStructured &&
-        config_.replayShards > 1 && input.addressSpaceEnd() > 0) {
-        auto ls = std::make_unique<ShardedTranslation>(
-            input.addressSpaceEnd(),
-            static_cast<std::size_t>(config_.replayShards),
-            config_.zones);
-        relocate = [raw = ls.get()](const SectorExtent &extent,
-                                    SegmentBuffer &out) {
-            raw->relocateInto(extent, out);
-        };
-        layer_ = std::move(ls);
-    } else if (config_.translation ==
-               TranslationKind::LogStructured) {
+    if (config_.translation == TranslationKind::LogStructured) {
         auto ls = std::make_unique<LogStructuredLayer>(
             input.addressSpaceEnd(), config_.zones);
         relocate = [raw = ls.get()](const SectorExtent &extent,
@@ -526,11 +503,6 @@ ReplayEngine::run()
                 serveWriteRun(base, i, run_end);
             i = run_end;
         }
-
-        // Sharded mode: resolve the deferred seek classification
-        // before the events are shown to observers or recycled.
-        if (accounting_.deferredEnabled())
-            accounting_.flushDeferred();
 
         for (std::size_t k = 0; k < n; ++k)
             for (auto *observer : observers_)

@@ -19,10 +19,7 @@
  * the current chunk, which falls back to record-at-a-time
  * translation; the next chunk resumes batching — so batching is an
  * execution strategy only: the SimResult is byte-identical to
- * record-at-a-time replay. With SimConfig::replayShards > 1 the
- * Accounting sink additionally defers seek classification and
- * resolves it per batch in shard-parallel chunks (see
- * docs/parallel_replay.md), again byte-identically.
+ * record-at-a-time replay.
  */
 
 #ifndef LOGSEEK_STL_REPLAY_ENGINE_H

@@ -10,7 +10,7 @@
  *           [--metrics-out file] [--trace-out file]
  *           [--fault-rate R] [--bad-sector-seed N]
  *           [--max-open-zones N] [--error-log-cap N]
- *           [--replay-shards N] [--replay-batch N] [--help]
+ *           [--replay-batch N] [--help]
  *
  * scale/seed feed the synthetic workload profiles; --jobs sets the
  * sweep worker count ("auto" = hardware concurrency; 0 and negative
@@ -26,12 +26,10 @@
  * writes a metrics snapshot after the sweep (.prom/.txt selects
  * Prometheus text, anything else JSON) and --trace-out writes a
  * Chrome trace_event JSON file of the sweep's spans.
- * --replay-shards runs each replay's seek classification in N
- * parallel shards on a dedicated pool (byte-identical to serial;
- * docs/parallel_replay.md) and --replay-batch overrides the
- * engine's columnar batch size. All numeric arguments are
- * validated strictly — a malformed value is a typed
- * InvalidArgument error, never a silent default.
+ * --replay-batch overrides the engine's columnar batch size
+ * (byte-identical at every size; docs/parallel_replay.md). All
+ * numeric arguments are validated strictly — a malformed value is
+ * a typed InvalidArgument error, never a silent default.
  */
 
 #ifndef LOGSEEK_SWEEP_CLI_H
@@ -121,11 +119,6 @@ struct BenchCli
      *  clean target follows at reserve + 2 unless the bench sets
      *  its own. */
     std::uint32_t cleanReserve = 0;
-
-    /** Intra-replay shard count (--replay-shards, in [1, 256]);
-     *  1 = serial replay, > 1 shards every cell's seek
-     *  classification over a dedicated pool. */
-    int replayShards = 1;
 
     /** Replay batch size override in records (--replay-batch, in
      *  [1, 65536]); 0 = the engine default. */

@@ -39,7 +39,7 @@ TEST(DiskHead, SequentialAccessesDoNotSeek)
     head.access({0, 8}, IoType::Write);
     const SeekInfo info = head.access({8, 8}, IoType::Write);
     EXPECT_FALSE(info.seeked);
-    EXPECT_EQ(head.expectedNext(), 16u);
+    EXPECT_FALSE(head.access({16, 1}, IoType::Write).seeked);
 }
 
 TEST(DiskHead, ForwardGapSeeksWithPositiveDistance)
@@ -98,7 +98,6 @@ TEST(DiskHead, ResetRestoresInitialState)
     DiskHead head;
     head.access({500, 10}, IoType::Write);
     head.reset();
-    EXPECT_EQ(head.expectedNext(), 0u);
     EXPECT_EQ(head.accessCount(), 0u);
     const SeekInfo info = head.access({0, 4}, IoType::Read);
     EXPECT_FALSE(info.seeked);

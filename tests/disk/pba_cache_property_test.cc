@@ -21,8 +21,14 @@ struct FuzzParams
 {
     std::uint64_t seed;
     EvictionPolicy policy;
+    // gtest names each case after the raw bytes of its parameter, so
+    // the four bytes after `policy` are a zeroed member rather than
+    // padding: padding holds whatever the stack held and made the
+    // case names differ from one build to the next.
+    std::uint32_t zeroFill = 0;
     std::uint64_t capacitySectors; // 0 = unlimited-ish (huge)
 };
+static_assert(sizeof(FuzzParams) == 24);
 
 class PbaCacheFuzz : public ::testing::TestWithParam<FuzzParams>
 {
@@ -111,17 +117,19 @@ TEST_P(PbaCacheFuzz, HitsOnlyReturnResidentData)
     }
 }
 
+using enum EvictionPolicy;
+
 INSTANTIATE_TEST_SUITE_P(
     Mixes, PbaCacheFuzz,
     ::testing::Values(
-        FuzzParams{1, EvictionPolicy::Lru, 0},
-        FuzzParams{2, EvictionPolicy::Fifo, 0},
-        FuzzParams{3, EvictionPolicy::Lru, 64},
-        FuzzParams{4, EvictionPolicy::Fifo, 64},
-        FuzzParams{5, EvictionPolicy::Lru, 512},
-        FuzzParams{6, EvictionPolicy::Fifo, 512},
-        FuzzParams{7, EvictionPolicy::Lru, 7},
-        FuzzParams{8, EvictionPolicy::Fifo, 7}));
+        FuzzParams{.seed = 1, .policy = Lru, .capacitySectors = 0},
+        FuzzParams{.seed = 2, .policy = Fifo, .capacitySectors = 0},
+        FuzzParams{.seed = 3, .policy = Lru, .capacitySectors = 64},
+        FuzzParams{.seed = 4, .policy = Fifo, .capacitySectors = 64},
+        FuzzParams{.seed = 5, .policy = Lru, .capacitySectors = 512},
+        FuzzParams{.seed = 6, .policy = Fifo, .capacitySectors = 512},
+        FuzzParams{.seed = 7, .policy = Lru, .capacitySectors = 7},
+        FuzzParams{.seed = 8, .policy = Fifo, .capacitySectors = 7}));
 
 } // namespace
 } // namespace logseek::disk

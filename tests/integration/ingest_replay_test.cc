@@ -3,10 +3,10 @@
  * End-to-end ingestion/replay byte-identity: a trace replayed from
  * an mmap'd LSKC file or a streaming generator must produce the
  * bit-identical SimResult (operator==, including the seekTimeSec
- * bit pattern) as the in-RAM path — across sweep --jobs {1, 2},
- * --replay-shards {1, 4}, and a checkpoint/resume cycle. Also pins
- * the source-lifecycle contract: the sweep drops its TraceSource
- * references once the last dependent cell completes.
+ * bit pattern) as the in-RAM path — across sweep --jobs {1, 2}
+ * and a checkpoint/resume cycle. Also pins the source-lifecycle
+ * contract: the sweep drops its TraceSource references once the
+ * last dependent cell completes.
  *
  * The suite name (IngestReplay*) keeps these tests inside the tsan
  * preset's test filter; the jobs=2 sweeps are what TSan exercises.
@@ -54,30 +54,42 @@ tempPath(const std::string &tag)
            std::to_string(::getpid());
 }
 
+/** The grid's two cells: the conventional baseline and LS. */
 stl::SimConfig
-shardedConfig(int shards)
+gridConfig(stl::TranslationKind kind)
 {
     stl::SimConfig config;
-    config.replayShards = shards;
+    config.translation = kind;
     return config;
 }
 
-/** Direct in-RAM replay under the given shard count. */
-stl::SimResult
-ramResult(const trace::Trace &trace, int shards)
+std::vector<ConfigSpec>
+gridConfigs()
 {
-    stl::Simulator simulator(shardedConfig(shards));
+    return {ConfigSpec::fixed(
+                "NoLS", gridConfig(stl::TranslationKind::Conventional)),
+            ConfigSpec::fixed(
+                "LS", gridConfig(stl::TranslationKind::LogStructured))};
+}
+
+/** Direct in-RAM replay of one grid cell. */
+stl::SimResult
+ramResult(const trace::Trace &trace, stl::TranslationKind kind)
+{
+    stl::Simulator simulator(gridConfig(kind));
     return simulator.run(trace);
 }
 
-TEST(IngestReplay, LskcSweepMatchesRamAcrossJobsAndShards)
+TEST(IngestReplay, LskcSweepMatchesRamAcrossJobs)
 {
     const trace::Trace trace = randomTrace(21, 3000);
     const std::string path = tempPath("grid") + ".lskc";
     ASSERT_TRUE(trace::tryWriteLskcFile(path, trace).ok());
 
-    const stl::SimResult ram1 = ramResult(trace, 1);
-    const stl::SimResult ram4 = ramResult(trace, 4);
+    const stl::SimResult nols =
+        ramResult(trace, stl::TranslationKind::Conventional);
+    const stl::SimResult ls =
+        ramResult(trace, stl::TranslationKind::LogStructured);
 
     for (const int jobs : {1, 2}) {
         std::vector<WorkloadSpec> workloads;
@@ -88,11 +100,7 @@ TEST(IngestReplay, LskcSweepMatchesRamAcrossJobsAndShards)
                     << source.status().message();
                 return source.value();
             }));
-        std::vector<ConfigSpec> configs;
-        configs.push_back(
-            ConfigSpec::fixed("shards1", shardedConfig(1)));
-        configs.push_back(
-            ConfigSpec::fixed("shards4", shardedConfig(4)));
+        const std::vector<ConfigSpec> configs = gridConfigs();
 
         SweepOptions options;
         options.jobs = jobs;
@@ -104,9 +112,9 @@ TEST(IngestReplay, LskcSweepMatchesRamAcrossJobsAndShards)
             << result.row(0, 0).status.message();
         ASSERT_TRUE(result.row(0, 1).status.ok());
         // Byte identity against the in-RAM path at every cell.
-        EXPECT_TRUE(result.row(0, 0).result == ram1)
+        EXPECT_TRUE(result.row(0, 0).result == nols)
             << "jobs " << jobs;
-        EXPECT_TRUE(result.row(0, 1).result == ram4)
+        EXPECT_TRUE(result.row(0, 1).result == ls)
             << "jobs " << jobs;
         EXPECT_EQ(result.row(0, 0).ops, trace.size());
     }
@@ -128,9 +136,7 @@ TEST(IngestReplay, CheckpointResumeRestoresLskcCellsByteIdentically)
             }));
         return workloads;
     };
-    std::vector<ConfigSpec> configs;
-    configs.push_back(ConfigSpec::fixed("shards1", shardedConfig(1)));
-    configs.push_back(ConfigSpec::fixed("shards4", shardedConfig(4)));
+    const std::vector<ConfigSpec> configs = gridConfigs();
 
     SweepOptions first_options;
     first_options.jobs = 2;
@@ -161,15 +167,17 @@ TEST(IngestReplay, CheckpointResumeRestoresLskcCellsByteIdentically)
     std::remove(checkpoint.c_str());
 }
 
-TEST(IngestReplay, StreamedSweepMatchesRamAcrossJobsAndShards)
+TEST(IngestReplay, StreamedSweepMatchesRamAcrossJobs)
 {
     const workloads::StreamSpec spec =
         workloads::mixedStream("stream-mix", 3, 800, 31);
     workloads::WorkloadStream probe(spec);
     const trace::Trace materialized = trace::materialize(probe);
 
-    const stl::SimResult ram1 = ramResult(materialized, 1);
-    const stl::SimResult ram4 = ramResult(materialized, 4);
+    const stl::SimResult nols =
+        ramResult(materialized, stl::TranslationKind::Conventional);
+    const stl::SimResult ls =
+        ramResult(materialized, stl::TranslationKind::LogStructured);
 
     for (const int jobs : {1, 2}) {
         std::vector<WorkloadSpec> workloads_list;
@@ -178,11 +186,7 @@ TEST(IngestReplay, StreamedSweepMatchesRamAcrossJobsAndShards)
                 return std::make_shared<
                     const workloads::StreamSource>(spec);
             }));
-        std::vector<ConfigSpec> configs;
-        configs.push_back(
-            ConfigSpec::fixed("shards1", shardedConfig(1)));
-        configs.push_back(
-            ConfigSpec::fixed("shards4", shardedConfig(4)));
+        const std::vector<ConfigSpec> configs = gridConfigs();
 
         SweepOptions options;
         options.jobs = jobs;
@@ -192,9 +196,9 @@ TEST(IngestReplay, StreamedSweepMatchesRamAcrossJobsAndShards)
         ASSERT_TRUE(result.row(0, 0).status.ok())
             << result.row(0, 0).status.message();
         ASSERT_TRUE(result.row(0, 1).status.ok());
-        EXPECT_TRUE(result.row(0, 0).result == ram1)
+        EXPECT_TRUE(result.row(0, 0).result == nols)
             << "jobs " << jobs;
-        EXPECT_TRUE(result.row(0, 1).result == ram4)
+        EXPECT_TRUE(result.row(0, 1).result == ls)
             << "jobs " << jobs;
     }
 }
@@ -213,9 +217,7 @@ TEST(IngestReplay, SourceIsReleasedWhenItsLastCellCompletes)
     workloads_list.push_back(WorkloadSpec::source(
         trace.name(),
         [holder] { return std::move(*holder); }));
-    std::vector<ConfigSpec> configs;
-    configs.push_back(ConfigSpec::fixed("shards1", shardedConfig(1)));
-    configs.push_back(ConfigSpec::fixed("shards4", shardedConfig(4)));
+    const std::vector<ConfigSpec> configs = gridConfigs();
 
     SweepOptions options;
     options.jobs = 2;

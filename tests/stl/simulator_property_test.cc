@@ -2,8 +2,8 @@
  * @file
  * Property-based tests for the simulation engine over randomized
  * traces: translation correctness against a per-sector shadow
- * model, segment tiling, seek-accounting invariants, and mechanism
- * monotonicity.
+ * model, segment tiling, seek-accounting invariants, mechanism
+ * monotonicity, and byte-identity across replay batch sizes.
  */
 
 #include <gtest/gtest.h>
@@ -210,6 +210,159 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyParams{18, 0.7, true, false, true},
         PropertyParams{19, 0.2, false, true, true},
         PropertyParams{20, 0.95, true, true, false}));
+
+/**
+ * Replay-batch differentials: SimConfig::replayBatchSize is an
+ * execution strategy, so the SimResult — every counter, the bit
+ * pattern of seekTimeSec and the zoned-device mirror — must be
+ * byte-identical (operator==) at every batch size.
+ */
+
+/**
+ * Base configuration per layer. The finite-log and media-cache
+ * capacities are shrunk far below the trace's write volume so
+ * cleaning/merge maintenance runs inside batches and is covered,
+ * not dodged.
+ */
+SimConfig
+batchBaseConfig(TranslationKind kind, bool zoned)
+{
+    SimConfig config;
+    config.translation = kind;
+    if (kind == TranslationKind::FiniteLogStructured) {
+        config.finiteLog.capacityBytes = 32 * kMiB;
+        config.finiteLog.segmentBytes = 1 * kMiB;
+    }
+    if (kind == TranslationKind::MediaCache)
+        config.mediaCache.cacheBytes = 4 * kMiB;
+    if (zoned)
+        config.zonedDevice = disk::ZonedDeviceOptions{};
+    return config;
+}
+
+/**
+ * Trace address space per layer: the finite log gets a small LBA
+ * space (8 MiB of sectors) so its 32 MiB log sees ~40 MiB of
+ * churn — cleaning runs repeatedly — while the live set always
+ * fits. The other layers replay a 512 MiB space.
+ */
+Lba
+batchTraceSpace(TranslationKind kind)
+{
+    return kind == TranslationKind::FiniteLogStructured ? 1 << 14
+                                                        : 1 << 20;
+}
+
+SimResult
+runAtBatch(SimConfig config, const trace::Trace &trace, int batch)
+{
+    config.replayBatchSize = batch;
+    return Simulator(config).run(trace);
+}
+
+TEST(ReplayBatch, ByteIdenticalAcrossBatchSizesAndLayers)
+{
+    std::uint64_t combo = 0;
+    for (const TranslationKind kind :
+         {TranslationKind::Conventional,
+          TranslationKind::LogStructured,
+          TranslationKind::FiniteLogStructured,
+          TranslationKind::MediaCache}) {
+        for (const bool zoned : {false, true}) {
+            const trace::Trace trace =
+                randomTrace(0x5ead0 + combo++, 12000,
+                            batchTraceSpace(kind), 0.4);
+            const SimConfig config = batchBaseConfig(kind, zoned);
+            const SimResult scalar = runAtBatch(config, trace, 1);
+            for (const int batch : {17, 256})
+                EXPECT_TRUE(runAtBatch(config, trace, batch) ==
+                            scalar)
+                    << scalar.configLabel
+                    << (zoned ? "+zoned" : "")
+                    << " diverged at batch " << batch;
+        }
+    }
+}
+
+TEST(ReplayBatch, MechanismsAndOddBatchStayByteIdentical)
+{
+    // All mechanisms at once: defrag rewrites invalidate batched
+    // translations mid-run, prefetch and the selective cache
+    // reorder media accesses. A batch size that divides into
+    // nothing evenly splits every run at awkward boundaries. The
+    // 2 MiB space makes later reads in the same translate chunk
+    // hit ranges a defrag rewrite just moved, so a stale batched
+    // translation shows up as a diverged result.
+    SimConfig config;
+    config.translation = TranslationKind::LogStructured;
+    config.defrag = DefragConfig{};
+    config.prefetch = PrefetchConfig{};
+    config.cache = SelectiveCacheConfig{64 * kMiB};
+
+    for (const Lba space : {Lba{1} << 12, Lba{1} << 20}) {
+        const trace::Trace trace =
+            randomTrace(0x5ead10, 20000, space, 0.4);
+        const SimResult reference = Simulator(config).run(trace);
+        ASSERT_GT(reference.defragRewrites, 0U);
+        for (const int batch : {1, 17})
+            EXPECT_TRUE(runAtBatch(config, trace, batch) ==
+                        reference)
+                << "LS+all diverged at batch " << batch
+                << ", space " << space;
+    }
+}
+
+TEST(ReplayBatch, CleaningSeeksByteIdenticalAcrossBatchSizes)
+{
+    // Finite-log churn with every reclaim partly live (random
+    // overwrites) pins the cleaning-seek count — and the whole
+    // SimResult — bitwise at every batch size, for every cleaning
+    // policy and stream split.
+    const trace::Trace trace = randomTrace(
+        0xc1ea9, 16000,
+        batchTraceSpace(TranslationKind::FiniteLogStructured), 0.8);
+    for (const auto policy :
+         {gc::CleaningPolicyKind::Greedy,
+          gc::CleaningPolicyKind::CostBenefit,
+          gc::CleaningPolicyKind::ZoneGranular}) {
+        for (const std::uint32_t streams : {1U, 2U}) {
+            SimConfig config = batchBaseConfig(
+                TranslationKind::FiniteLogStructured, false);
+            config.finiteLog.gc.policy = policy;
+            config.finiteLog.gc.streams = streams;
+            const SimResult reference =
+                Simulator(config).run(trace);
+            ASSERT_GT(reference.cleaningMerges, 0U);
+            ASSERT_GT(reference.cleaningSeeks, 0U);
+            for (const int batch : {1, 17}) {
+                const SimResult result =
+                    runAtBatch(config, trace, batch);
+                EXPECT_EQ(result.cleaningSeeks,
+                          reference.cleaningSeeks)
+                    << reference.configLabel << " diverged at batch "
+                    << batch;
+                EXPECT_TRUE(result == reference)
+                    << reference.configLabel << " diverged at batch "
+                    << batch;
+            }
+        }
+    }
+}
+
+TEST(ReplayBatch, RejectsOutOfRangeBatchSize)
+{
+    const trace::Trace trace = randomTrace(0x5ead99, 64, 1 << 16,
+                                           0.5);
+    for (const int batch : {0, -3, 65537}) {
+        SimConfig config;
+        config.replayBatchSize = batch;
+        const auto result = Simulator(config).tryRun(trace);
+        ASSERT_FALSE(result.ok()) << "batch " << batch;
+        EXPECT_EQ(result.status().code(),
+                  StatusCode::InvalidArgument)
+            << "batch " << batch;
+    }
+}
 
 } // namespace
 } // namespace logseek::stl
