@@ -21,13 +21,14 @@
 # the checked-in BENCH_extent_map.json is regenerated manually at
 # full iterations). The smoke artifact records the box's nproc so
 # a ~1x parallel speedup on a 1-CPU runner is not misread as a
-# regression. A golden leg then runs fig11_saf 0.002 --jobs 1 and
-# crash_recovery_bench through tests/golden/check_golden.sh and
-# diffs their deterministic output (the Figure 11 table, its JSON
-# report with timing fields stripped, the crash-matrix summary)
-# byte for byte against the goldens checked in under
-# tests/golden/ — an absolute check, so a change that moves every
-# cell the same way still fails.
+# regression. A golden leg then runs fig11_saf 0.002 --jobs 1,
+# crash_recovery_bench and device_fault_sweep 0.002
+# --fault-rate=0.01 --jobs 1 through tests/golden/check_golden.sh
+# and diffs their deterministic output (the Figure 11 table, the
+# crash-matrix summary, the device fault table, the JSON reports
+# with timing fields stripped) byte for byte against the goldens
+# checked in under tests/golden/ — an absolute check, so a change
+# that moves every cell the same way still fails.
 #
 # The extra mode `fault-smoke` builds device_fault_sweep under the
 # asan preset and runs the fault matrix at small scale with an
@@ -96,11 +97,13 @@ run_bench_smoke() {
     # CLI, compared byte for byte with the checked-in goldens
     # (timing fields stripped).
     cmake --build --preset default -j "${JOBS}" \
-        --target fig11_saf crash_recovery_bench
+        --target fig11_saf crash_recovery_bench device_fault_sweep
     tests/golden/check_golden.sh fig11 build/bench/fig11_saf \
         /tmp/tier1_golden
     tests/golden/check_golden.sh crash \
         build/bench/crash_recovery_bench /tmp/tier1_golden
+    tests/golden/check_golden.sh device \
+        build/bench/device_fault_sweep /tmp/tier1_golden
     echo "==> tier1: golden outputs byte-identical"
 }
 

@@ -1,6 +1,7 @@
 #include "zoned_device.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -47,14 +48,36 @@ clampToU32(std::uint64_t n)
 
 } // namespace
 
+std::uint64_t
+faultThreshold(double rate)
+{
+    // u01(h) < rate  <=>  (h >> 11) < rate * 2^53 (a power-of-two
+    // scale is exact)  <=>  (h >> 11) < ceil(rate * 2^53) for the
+    // integer h >> 11. Capping at 1 keeps the threshold <= 2^53,
+    // which every 53-bit value is below: a rate >= 1 is "always".
+    if (!(rate > 0.0))
+        return 0;
+    return static_cast<std::uint64_t>(
+        std::ceil(std::min(rate, 1.0) * 0x1.0p53));
+}
+
 ZonedDevice::ZonedDevice(const ZoneLayout &layout,
                          const ZonedDeviceOptions &options,
                          CancelToken cancel)
-    : options_(options), zones_(layout), cancel_(std::move(cancel)),
+    : options_(options),
+      grownThreshold_(faultThreshold(options.faults.grownRate)),
+      transientThreshold_(
+          faultThreshold(options.faults.transientRate)),
+      zones_(layout), cancel_(std::move(cancel)),
       rng_(options.faults.seed), errorLog_(options.errorLogCap)
 {
     panicIf(options.errorLogCap == 0,
             "ZonedDevice: errorLogCap must be >= 1");
+    const DeviceFaultConfig &f = options.faults;
+    for (const double rate : {f.transientRate, f.grownRate,
+                              f.offlineShare, f.wpDivergenceRate})
+        panicIf(!std::isfinite(rate),
+                "ZonedDevice: fault rates must be finite");
     auto &registry = telemetry::Registry::global();
     readRetries_ =
         &registry.counter("device_read_retries_total");
@@ -86,20 +109,6 @@ void
 ZonedDevice::fillTo(std::uint64_t end_sector)
 {
     zones_.fillTo(end_sector);
-}
-
-ZonedDevice::SectorFault
-ZonedDevice::classifySector(std::uint64_t sector) const
-{
-    const DeviceFaultConfig &f = options_.faults;
-    const std::uint64_t h = mix64(options_.faults.seed ^ sector);
-    if (f.grownRate > 0.0 &&
-        u01(mix64(h ^ kGrownSalt)) < f.grownRate)
-        return SectorFault::Grown;
-    if (f.transientRate > 0.0 &&
-        u01(mix64(h ^ kTransientSalt)) < f.transientRate)
-        return SectorFault::Transient;
-    return SectorFault::Good;
 }
 
 std::uint32_t
@@ -176,28 +185,29 @@ ZonedDevice::readPiece(std::size_t index,
         errorLog_.append({piece.start, 0, readable});
         return out;
     }
-    const DeviceFaultConfig &f = options_.faults;
-    if (f.transientRate <= 0.0 && f.grownRate <= 0.0)
+    if (grownThreshold_ == 0 && transientThreshold_ == 0)
         return out;
 
-    for (std::uint64_t sector = piece.start;
-         sector < piece.end(); ++sector) {
-        // A defect discovered earlier in this very piece may have
-        // taken the zone offline; the rest of the piece is lost.
-        if (zones_.zone(index).condition ==
-            ZoneCondition::Offline) {
-            ++out.failedSectors;
-            continue;
-        }
-        const SectorFault fault = classifySector(sector);
-        if (fault == SectorFault::Good)
+    // The hot loop: per sector, one hash of (seed, sector) and one
+    // salted hash per fault question, each compared against its
+    // integer threshold (grown takes precedence over transient).
+    // Only a faulty sector leaves it.
+    const std::uint64_t seed = options_.faults.seed;
+    const std::uint64_t end = piece.end();
+    for (std::uint64_t sector = piece.start; sector < end;
+         ++sector) {
+        const std::uint64_t h = mix64(seed ^ sector);
+        const bool grown =
+            (mix64(h ^ kGrownSalt) >> 11) < grownThreshold_;
+        if (!grown && (mix64(h ^ kTransientSalt) >> 11) >=
+                          transientThreshold_) [[likely]]
             continue;
         if (knownDefects_.contains(sector)) {
             // Known-bad: fail fast, no pointless retries.
             ++out.failedSectors;
             continue;
         }
-        if (fault == SectorFault::Transient) {
+        if (!grown) {
             mediaErrorsTransient_->add();
             const auto [retries, recovered] = recoverSector(
                 sector, static_cast<std::int32_t>(
@@ -231,6 +241,14 @@ ZonedDevice::readPiece(std::size_t index,
                                  std::to_string(sector) +
                                  " is a grown defect")});
             discoverDefect(index, sector);
+            // checkRead refused an offline zone up front, and only
+            // discoverDefect takes one offline: if this defect did,
+            // the rest of the piece is lost.
+            if (zones_.zone(index).condition ==
+                ZoneCondition::Offline) {
+                out.failedSectors += clampToU32(end - sector - 1);
+                break;
+            }
         }
     }
     return out;

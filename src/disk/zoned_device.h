@@ -42,8 +42,9 @@ namespace logseek::disk
 
 /**
  * Seeded media-fault policy. All rates are per-sector (or per
- * write op for divergence) probabilities in [0, 1]; with every
- * rate at zero the device never touches the fault path.
+ * write op for divergence) probabilities in [0, 1]; a rate above 1
+ * means "always", and every rate must be finite. With every rate at
+ * zero the device never touches the fault path.
  */
 struct DeviceFaultConfig
 {
@@ -102,6 +103,14 @@ struct CrashSchedule
 
     bool armed() const { return crashAtWriteOp > 0; }
 };
+
+/**
+ * The exact integer form of the fault test `u01(h) < rate`, where
+ * u01(h) = (h >> 11) * 2^-53: the test holds iff
+ * (h >> 11) < faultThreshold(rate). The threshold is
+ * ceil(min(rate, 1) * 2^53), and 0 for a rate <= 0 (never faulty).
+ */
+std::uint64_t faultThreshold(double rate);
 
 /** Full device configuration (geometry comes from ZoneLayout). */
 struct ZonedDeviceOptions
@@ -303,16 +312,6 @@ class ZonedDevice
     void publishZoneGauges() const;
 
   private:
-    /** Per-sector fault classification (pure, seeded). */
-    enum class SectorFault : std::uint8_t
-    {
-        Good,
-        Transient,
-        Grown,
-    };
-
-    SectorFault classifySector(std::uint64_t sector) const;
-
     /** Seeded retries a transient sector needs (>= 1). */
     std::uint32_t requiredRetries(std::uint64_t sector) const;
 
@@ -338,6 +337,11 @@ class ZonedDevice
                                  const SectorExtent &piece);
 
     ZonedDeviceOptions options_;
+
+    /** faultThreshold() of the grown and transient rates. */
+    std::uint64_t grownThreshold_;
+    std::uint64_t transientThreshold_;
+
     ZoneSet zones_;
     CancelToken cancel_;
 

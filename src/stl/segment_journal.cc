@@ -134,28 +134,31 @@ JournalScan
 scanJournal(std::string_view image)
 {
     JournalScan scan;
-    const CheckpointLoad load = parseCheckpoint(image);
-    scan.segmentsScanned = load.records.size();
+
+    // Decode each intact frame in place while the epoch chain stays
+    // unbroken; the first gap (a damaged frame in the middle) or
+    // undecodable payload truncates everything after the last
+    // consistent epoch — a log scan cannot trust state that depends
+    // on a missing op. Frames past the break are only counted.
+    bool broken = false;
+    const CheckpointLoad load =
+        parseCheckpoint(image, [&](std::string_view payload) {
+            ++scan.segmentsScanned;
+            if (broken)
+                return;
+            JournalRecord record;
+            if (!decodeJournalRecord(payload, record) ||
+                record.epoch != scan.records.size() + 1) {
+                broken = true;
+                return;
+            }
+            scan.records.push_back(std::move(record));
+        });
     scan.damagedFrames = load.damagedFrames;
     scan.tornTail = load.tornTail;
     scan.bytesDropped = load.bytesDropped;
-
-    // Replay intact frames while the epoch chain stays unbroken;
-    // the first gap (a damaged frame in the middle) or undecodable
-    // payload truncates everything after the last consistent epoch
-    // — a log scan cannot trust state that depends on a missing op.
-    std::uint64_t expected = 1;
-    std::size_t applied = 0;
-    for (const std::string &payload : load.records) {
-        JournalRecord record;
-        if (!decodeJournalRecord(payload, record) ||
-            record.epoch != expected)
-            break;
-        scan.records.push_back(std::move(record));
-        ++expected;
-        ++applied;
-    }
-    scan.truncatedEpochs = load.records.size() - applied;
+    scan.truncatedEpochs =
+        scan.segmentsScanned - scan.records.size();
 
     auto &registry = telemetry::Registry::global();
     registry.counter("recovery_segments_scanned_total")

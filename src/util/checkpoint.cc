@@ -135,6 +135,20 @@ appendCheckpointFrame(std::string &out, std::string_view payload)
 CheckpointLoad
 parseCheckpoint(std::string_view bytes)
 {
+    std::vector<std::string> records;
+    CheckpointLoad out =
+        parseCheckpoint(bytes, [&records](std::string_view payload) {
+            records.emplace_back(payload);
+        });
+    out.records = std::move(records);
+    return out;
+}
+
+CheckpointLoad
+parseCheckpoint(
+    std::string_view bytes,
+    const std::function<void(std::string_view)> &on_record)
+{
     CheckpointLoad out;
     std::size_t pos = 0;
     while (pos < bytes.size()) {
@@ -197,7 +211,7 @@ parseCheckpoint(std::string_view bytes)
             pos = next;
             continue;
         }
-        out.records.emplace_back(payload);
+        on_record(payload);
         pos = frame + kFrameHeaderBytes + length;
     }
     return out;

@@ -23,6 +23,7 @@
 #define LOGSEEK_UTIL_CHECKPOINT_H
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -83,6 +84,16 @@ struct CheckpointLoad
 /** Parse an in-memory checkpoint image; never fails — damage is
  *  reported in the result. */
 CheckpointLoad parseCheckpoint(std::string_view bytes);
+
+/**
+ * Copy-free form of parseCheckpoint(bytes): hands each intact
+ * payload, in file order, to `on_record` as a view into `bytes`
+ * instead of collecting copies. The returned load carries the
+ * damage tallies only; its `records` stay empty.
+ */
+CheckpointLoad parseCheckpoint(
+    std::string_view bytes,
+    const std::function<void(std::string_view)> &on_record);
 
 /** Load and parse a checkpoint file; NotFound when it does not
  *  exist, Unavailable when it cannot be read. */

@@ -8,10 +8,14 @@
 #          fields stripped (fig11_saf.json)
 #   crash  crash_recovery_bench at its defaults: the JSON summary
 #          (crash_recovery_bench.json; it has no timing fields)
+#   device device_fault_sweep 0.002 --fault-rate=0.01 --jobs 1: the
+#          stdout table (device_fault_sweep.txt) and the JSON report
+#          with its timing fields stripped (device_fault_sweep.json)
 #
 # Usage:
 #   tests/golden/check_golden.sh fig11 <fig11_saf binary> <work dir>
 #   tests/golden/check_golden.sh crash <crash_recovery_bench binary> <work dir>
+#   tests/golden/check_golden.sh device <device_fault_sweep binary> <work dir>
 #
 # The fresh outputs stay in the work dir. On a mismatch the script
 # names the produced file; copying it over the golden is a behaviour
@@ -20,7 +24,7 @@
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
-    echo "usage: $0 fig11|crash <binary> <work dir>" >&2
+    echo "usage: $0 fig11|crash|device <binary> <work dir>" >&2
     exit 2
 fi
 mode="$1"
@@ -56,6 +60,17 @@ crash)
     "${binary}" --json="${work}/crash_recovery_bench.json" > /dev/null
     check "${golden}/crash_recovery_bench.json" \
         "${work}/crash_recovery_bench.json"
+    ;;
+device)
+    "${binary}" 0.002 --fault-rate=0.01 --jobs 1 \
+        --json="${work}/device_fault_sweep.raw.json" \
+        > "${work}/device_fault_sweep.txt"
+    strip_timing "${work}/device_fault_sweep.raw.json" \
+        > "${work}/device_fault_sweep.json"
+    check "${golden}/device_fault_sweep.txt" \
+        "${work}/device_fault_sweep.txt"
+    check "${golden}/device_fault_sweep.json" \
+        "${work}/device_fault_sweep.json"
     ;;
 *)
     echo "$0: unknown mode '${mode}'" >&2

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "stl/segment_journal.h"
 #include "util/checkpoint.h"
@@ -104,6 +106,36 @@ TEST(CheckpointFraming, TornTailAfterDamageReportsBoth)
     const CheckpointLoad load = parseCheckpoint(image);
     EXPECT_GE(load.damagedFrames, 1U);
     EXPECT_TRUE(load.tornTail);
+}
+
+TEST(CheckpointFraming, ViewFormMatchesCopyingForm)
+{
+    // The copy-free parse (the journal scan's form) must see exactly
+    // the payloads and damage tallies of the copying one, as views
+    // into the image itself.
+    const std::string clean = journalImage(5);
+    const std::size_t frame_bytes = clean.size() / 5;
+    std::string corrupt = clean;
+    corrupt[2 * frame_bytes + frame_bytes / 2] ^= 0x01;
+    const std::string torn = clean.substr(0, clean.size() - 3);
+    for (const std::string &image : {clean, corrupt, torn}) {
+        std::vector<std::string_view> views;
+        const CheckpointLoad tallies = parseCheckpoint(
+            image,
+            [&views](std::string_view p) { views.push_back(p); });
+        const CheckpointLoad load = parseCheckpoint(image);
+        EXPECT_TRUE(tallies.records.empty());
+        EXPECT_EQ(tallies.damagedFrames, load.damagedFrames);
+        EXPECT_EQ(tallies.tornTail, load.tornTail);
+        EXPECT_EQ(tallies.bytesDropped, load.bytesDropped);
+        ASSERT_EQ(views.size(), load.records.size());
+        for (std::size_t i = 0; i < views.size(); ++i) {
+            EXPECT_EQ(views[i], load.records[i]);
+            EXPECT_GE(views[i].data(), image.data());
+            EXPECT_LE(views[i].data() + views[i].size(),
+                      image.data() + image.size());
+        }
+    }
 }
 
 } // namespace
