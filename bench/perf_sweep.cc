@@ -6,14 +6,11 @@
  * results, and writes the throughput comparison to a JSON file
  * (default BENCH_sweep.json) for tracking.
  *
- * Further legs probe the batch-first replay core:
- *  - scalar: the serial sweep at --replay-batch 1 (record-at-a-
- *    time); serial over scalar is the batching speedup
- *    ("batchedVsScalar").
- *  - telemetry: the serial sweep with collection armed; must still
- *    be byte-identical (telemetry never touches SimResult), its
- *    wall time over the plain serial leg is the telemetry overhead
- *    ratio, and its metrics snapshot is embedded under "metrics".
+ * A further telemetry leg replays the serial sweep with collection
+ * armed; it must still be byte-identical (telemetry never touches
+ * SimResult), its wall time over the plain serial leg is the
+ * telemetry overhead ratio, and its metrics snapshot is embedded
+ * under "metrics".
  *
  * On a single-hardware-thread box the parallel (multi-jobs) leg
  * cannot demonstrate a speedup; the report then carries
@@ -91,12 +88,10 @@ allWorkloads(const workloads::ProfileOptions &profile)
 }
 
 sweep::SweepResult
-runOnce(const workloads::ProfileOptions &profile, int jobs,
-        int replay_batch = 0)
+runOnce(const workloads::ProfileOptions &profile, int jobs)
 {
     sweep::SweepOptions options;
     options.jobs = jobs;
-    options.replayBatchSize = replay_batch;
     sweep::SweepRunner runner(allWorkloads(profile), fig11Configs(),
                               std::move(options));
     return runner.run();
@@ -204,10 +199,6 @@ main(int argc, char **argv)
     (void)runOnce(cli->profile, 1);
 
     const sweep::SweepResult serial = runOnce(cli->profile, 1);
-    // Scalar leg: batch size 1 = record-at-a-time replay; serial
-    // over scalar is the speedup of the batched read path.
-    const sweep::SweepResult scalar =
-        runOnce(cli->profile, 1, /*replay_batch=*/1);
     const sweep::SweepResult parallel =
         runOnce(cli->profile, parallel_jobs);
 
@@ -224,7 +215,6 @@ main(int argc, char **argv)
 
     const bool deterministic =
         deterministicForm(serial) == deterministicForm(parallel) &&
-        deterministicForm(serial) == deterministicForm(scalar) &&
         deterministicForm(serial) == deterministicForm(instrumented);
     const double speedup =
         parallel.telemetry.wallSec > 0.0
@@ -238,12 +228,6 @@ main(int argc, char **argv)
     const double serial_ratio =
         baseline_comparable
             ? serial.telemetry.opsPerSec() / baseline.serialOpsPerSec
-            : 0.0;
-    const double batched_vs_scalar =
-        scalar.telemetry.wallSec > 0.0 &&
-                serial.telemetry.wallSec > 0.0
-            ? serial.telemetry.opsPerSec() /
-                  scalar.telemetry.opsPerSec()
             : 0.0;
 
     std::ostringstream json;
@@ -264,16 +248,11 @@ main(int argc, char **argv)
          << "  \"serial\": {\"jobs\": 1, \"wallSec\": "
          << serial.telemetry.wallSec << ", \"opsPerSec\": "
          << serial.telemetry.opsPerSec() << "},\n"
-         << "  \"scalar\": {\"jobs\": 1, \"replayBatch\": 1, "
-            "\"wallSec\": "
-         << scalar.telemetry.wallSec << ", \"opsPerSec\": "
-         << scalar.telemetry.opsPerSec() << "},\n"
          << "  \"parallel\": {\"jobs\": " << parallel.telemetry.jobs
          << ", \"wallSec\": " << parallel.telemetry.wallSec
          << ", \"opsPerSec\": " << parallel.telemetry.opsPerSec()
          << ", \"steals\": " << parallel.telemetry.steals << "},\n"
          << "  \"speedup\": " << speedup << ",\n"
-         << "  \"batchedVsScalar\": " << batched_vs_scalar << ",\n"
          << "  \"serialRatioVsBaseline\": ";
     if (baseline_comparable)
         json << serial_ratio;
@@ -308,11 +287,9 @@ main(int argc, char **argv)
                      "machine (hardwareConcurrency "
                   << baseline.hardwareConcurrency << ", this box "
                   << hardware << ")\n";
-    std::cout << "batched vs scalar replay: " << batched_vs_scalar
-              << "x\n";
     std::cout << (deterministic
-                      ? "serial, scalar, parallel and telemetry "
-                        "sweeps byte-identical\n"
+                      ? "serial, parallel and telemetry sweeps "
+                        "byte-identical\n"
                       : "MISMATCH between replay legs!\n");
     return deterministic ? 0 : 1;
 }

@@ -22,11 +22,13 @@
 # full iterations). The smoke artifact records the box's nproc so
 # a ~1x parallel speedup on a 1-CPU runner is not misread as a
 # regression. A golden leg then runs fig11_saf 0.002 --jobs 1,
-# crash_recovery_bench and device_fault_sweep 0.002
-# --fault-rate=0.01 --jobs 1 through tests/golden/check_golden.sh
-# and diffs their deterministic output (the Figure 11 table, the
-# crash-matrix summary, the device fault table, the JSON reports
-# with timing fields stripped) byte for byte against the goldens
+# crash_recovery_bench, device_fault_sweep 0.002
+# --fault-rate=0.01 --jobs 1 and compare_translation_layers 0.002
+# --jobs 1 through tests/golden/check_golden.sh and diffs their
+# deterministic output (the Figure 11 table, the crash-matrix
+# summary, the device fault table, the translation-layer table, the
+# JSON reports with timing fields stripped) byte for byte against
+# the goldens
 # checked in under tests/golden/ — an absolute check, so a change
 # that moves every cell the same way still fails.
 #
@@ -48,8 +50,10 @@
 # grid at small scale, writing BENCH_gc_ablation.smoke.json, then
 # reruns it with --jobs 2 and diffs the two reports — the grid has
 # no timing fields, so the diff proves every GC cell is
-# byte-identical across sweep parallelism (the checked-in
-# BENCH_gc_ablation.json is regenerated manually at full scale).
+# byte-identical across sweep parallelism — and finally diffs the
+# report against tests/golden/gc_ablation.json, an absolute check
+# (the checked-in BENCH_gc_ablation.json is regenerated manually at
+# full scale).
 #
 # The extra mode `ingest-smoke` builds perf_ingest and
 # trace_convert under the default preset, converts a sample MSR CSV
@@ -97,13 +101,16 @@ run_bench_smoke() {
     # CLI, compared byte for byte with the checked-in goldens
     # (timing fields stripped).
     cmake --build --preset default -j "${JOBS}" \
-        --target fig11_saf crash_recovery_bench device_fault_sweep
+        --target fig11_saf crash_recovery_bench device_fault_sweep \
+        compare_translation_layers
     tests/golden/check_golden.sh fig11 build/bench/fig11_saf \
         /tmp/tier1_golden
     tests/golden/check_golden.sh crash \
         build/bench/crash_recovery_bench /tmp/tier1_golden
     tests/golden/check_golden.sh device \
         build/bench/device_fault_sweep /tmp/tier1_golden
+    tests/golden/check_golden.sh layers \
+        build/bench/compare_translation_layers /tmp/tier1_golden
     echo "==> tier1: golden outputs byte-identical"
 }
 
@@ -138,6 +145,8 @@ run_gc_smoke() {
         --json=/tmp/tier1_gc_jobs2.json > /dev/null
     diff BENCH_gc_ablation.smoke.json /tmp/tier1_gc_jobs2.json
     echo "==> tier1: gc-smoke byte-identical across --jobs"
+    diff -u tests/golden/gc_ablation.json BENCH_gc_ablation.smoke.json
+    echo "==> tier1: gc-smoke byte-identical to the golden"
 }
 
 run_ingest_smoke() {

@@ -243,39 +243,6 @@ FiniteLogStructuredLayer::relocateInto(const SectorExtent &extent,
     append(extent.start, extent.count, out, coldStream());
 }
 
-void
-FiniteLogStructuredLayer::translateReadBatchInto(
-    std::span<const SectorExtent> extents, SegmentBufferBatch &out)
-    const
-{
-    out.clear();
-    for (const SectorExtent &extent : extents) {
-        panicIf(extent.empty(),
-                "FiniteLogStructuredLayer: empty read");
-        map_.translateAppend(extent, out.flat());
-        out.endRecord();
-    }
-}
-
-void
-FiniteLogStructuredLayer::placeWriteBatchInto(
-    std::span<const SectorExtent> extents, SegmentBufferBatch &out)
-{
-    out.clear();
-    for (const SectorExtent &extent : extents) {
-        panicIf(extent.empty(),
-                "FiniteLogStructuredLayer: empty write");
-        panicIf(extent.end() > logStart_,
-                "FiniteLogStructuredLayer: workload LBA above the "
-                "log start");
-        const std::uint32_t sid =
-            router_ ? router_->route(extent.start, extent.count)
-                    : 0;
-        append(extent.start, extent.count, out.flat(), sid);
-        out.endRecord();
-    }
-}
-
 std::size_t
 FiniteLogStructuredLayer::staticFragmentCount() const
 {

@@ -74,14 +74,15 @@ LogStructuredLayer::translateReadInto(const SectorExtent &extent,
 }
 
 void
-LogStructuredLayer::appendWrite(const SectorExtent &extent,
-                                SegmentBuffer &out)
+LogStructuredLayer::placeWriteInto(const SectorExtent &extent,
+                                   SegmentBuffer &out)
 {
     panicIf(extent.empty(), "LogStructuredLayer: empty write");
     panicIf(extent.end() > logStart_,
             "LogStructuredLayer: workload LBA above the log start; "
             "construct with a larger initial frontier");
 
+    out.clear();
     Lba lba = extent.start;
     SectorCount remaining = extent.count;
     if (journal_ != nullptr)
@@ -127,38 +128,6 @@ LogStructuredLayer::mountFromJournal(const SegmentJournal &journal)
         frontier_.restore(last.frontierAfter, last.aux);
     }
     return mountStatsFrom(scan);
-}
-
-void
-LogStructuredLayer::placeWriteInto(const SectorExtent &extent,
-                                   SegmentBuffer &out)
-{
-    out.clear();
-    appendWrite(extent, out);
-}
-
-void
-LogStructuredLayer::translateReadBatchInto(
-    std::span<const SectorExtent> extents, SegmentBufferBatch &out)
-    const
-{
-    out.clear();
-    for (const SectorExtent &extent : extents) {
-        panicIf(extent.empty(), "LogStructuredLayer: empty read");
-        map_.translateAppend(extent, out.flat());
-        out.endRecord();
-    }
-}
-
-void
-LogStructuredLayer::placeWriteBatchInto(
-    std::span<const SectorExtent> extents, SegmentBufferBatch &out)
-{
-    out.clear();
-    for (const SectorExtent &extent : extents) {
-        appendWrite(extent, out.flat());
-        out.endRecord();
-    }
 }
 
 std::size_t

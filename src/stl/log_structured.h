@@ -100,13 +100,6 @@ class LogStructuredLayer : public TranslationLayer
     void placeWriteInto(const SectorExtent &extent,
                         SegmentBuffer &out) override;
 
-    void translateReadBatchInto(std::span<const SectorExtent> extents,
-                                SegmentBufferBatch &out)
-        const override;
-
-    void placeWriteBatchInto(std::span<const SectorExtent> extents,
-                             SegmentBufferBatch &out) override;
-
     std::size_t staticFragmentCount() const override;
 
     std::string name() const override { return "log-structured"; }
@@ -153,10 +146,6 @@ class LogStructuredLayer : public TranslationLayer
     }
 
   private:
-    /** Place one write at the frontier, appending the placed
-     *  segments to `out` without clearing it. */
-    void appendWrite(const SectorExtent &extent, SegmentBuffer &out);
-
     ExtentMap map_;
     Pba logStart_;
     LogFrontier frontier_;

@@ -69,19 +69,6 @@ class MediaCacheLayer : public TranslationLayer
     void placeWriteInto(const SectorExtent &extent,
                         SegmentBuffer &out) override;
 
-    void translateReadBatchInto(std::span<const SectorExtent> extents,
-                                SegmentBufferBatch &out)
-        const override;
-
-    /**
-     * Batched placement with no merge interleaved — exactly a loop
-     * over placeWriteInto. The replay engine does not use this (the
-     * layer owes per-record maintenance, see hasMaintenance()); it
-     * exists for the batch/scalar differential contract.
-     */
-    void placeWriteBatchInto(std::span<const SectorExtent> extents,
-                             SegmentBufferBatch &out) override;
-
     bool hasMaintenance() const override { return true; }
 
     std::size_t staticFragmentCount() const override;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-run trace-replay engine (batch-first).
+ * Per-run trace-replay engine.
  *
  * A ReplayEngine is built fresh for one (trace, config) run: it
  * instantiates the translation layer, assembles the read-path
@@ -9,17 +9,14 @@
  * Accounting sink. The Simulator facade constructs one engine per
  * run; tests and future backends can drive the engine directly.
  *
- * The engine replays the trace in columnar batches
- * (SimConfig::replayBatchSize records, default 256): each batch is
- * loaded into an IoEventBatch, split into same-type runs, and each
- * run is translated in small mini-chunks, one batched virtual call
- * per chunk (write runs of maintenance-free layers are placed with
- * a single call). Translation-mutating events inside a read run (a
- * defrag rewrite, cleaning) invalidate the pre-translated rest of
- * the current chunk, which falls back to record-at-a-time
- * translation; the next chunk resumes batching — so batching is an
- * execution strategy only: the SimResult is byte-identical to
- * record-at-a-time replay.
+ * The engine pulls the trace in columnar IoEventBatches of
+ * kReplayBatchRecords records (zero-copy for mmap'd LSKC input) and
+ * replays them one record at a time: a read is translated, merged
+ * and served; a write is placed and written; then the layer's owed
+ * background work runs. Nothing is translated ahead of the record
+ * being served, so a translation change between two consecutive
+ * reads (a defrag rewrite, cleaning) is always seen by the next
+ * one.
  */
 
 #ifndef LOGSEEK_STL_REPLAY_ENGINE_H
@@ -35,6 +32,7 @@
 #include "stl/simulator.h"
 #include "stl/translation_layer.h"
 #include "trace/input.h"
+#include "trace/io_batch.h"
 #include "trace/trace.h"
 #include "util/cancellation.h"
 
@@ -65,8 +63,8 @@ class ReplayEngine
      *        in trace order (delivered at the end of the request's
      *        batch, once the event is fully resolved); not owned.
      * @param cancel Cooperative cancellation token, polled at every
-     *        batch boundary and every kCancelCheckInterval records
-     *        inside the serving loops; default never fires.
+     *        batch boundary and every kCancelCheckInterval records;
+     *        default never fires.
      */
     ReplayEngine(const SimConfig &config, trace::TraceInput &input,
                  const std::vector<SimObserver *> &observers,
@@ -93,6 +91,9 @@ class ReplayEngine
     /** Records between cancellation checks in run(). */
     static constexpr std::uint64_t kCancelCheckInterval = 64;
 
+    /** Records pulled from the input per TraceInput::next() call. */
+    static constexpr std::size_t kReplayBatchRecords = 256;
+
     /** The assembled read path (introspection for tests). */
     const ReadPipeline &readPipeline() const { return pipeline_; }
 
@@ -105,36 +106,20 @@ class ReplayEngine
                  CancelToken cancel);
 
     /**
-     * Serve batch records [begin, end) — one same-type read run.
-     * `base` is the trace-wide index of batch record 0.
-     * `fast_media_only` short-circuits the pipeline when it is
-     * exactly the media-access stage and telemetry is off.
+     * Translate, merge and serve one read. `fast_media_only`
+     * short-circuits the pipeline when it is exactly the
+     * media-access stage and telemetry is off.
      */
-    void serveReadRun(std::uint64_t base, std::size_t begin,
-                      std::size_t end, bool fast_media_only);
+    void serveRead(IoEvent &event, bool fast_media_only);
 
-    /** Serve batch records [begin, end) — one write run. */
-    void serveWriteRun(std::uint64_t base, std::size_t begin,
-                       std::size_t end);
+    /** Place one write and play its host accesses. */
+    void serveWrite(IoEvent &event);
 
     /**
-     * Batch-translate read extents [begin, end) of the current
-     * batch into readBatch_ (serveReadRun calls this one
-     * mini-chunk at a time). When `sampled`, the elapsed time is
-     * recorded amortized — one equal sample per record — so the
-     * translate-latency count stays equal to result.reads. The
-     * scalar fallback after a mid-chunk mutation records no extra
-     * samples for the same reason.
+     * Play the layer's owed background cleaning accesses. Skipped
+     * entirely for layers with hasMaintenance() == false.
      */
-    void translateRun(std::size_t begin, std::size_t end,
-                      bool sampled);
-
-    /**
-     * Play the layer's owed background cleaning accesses; returns
-     * true when any were owed (i.e. translation state changed).
-     * Skipped entirely for layers with hasMaintenance() == false.
-     */
-    bool runMaintenance(IoEvent &event);
+    void runMaintenance(IoEvent &event);
 
     /** Throw the cancellation status for this replay. */
     [[noreturn]] void throwCancelled();
@@ -175,35 +160,16 @@ class ReplayEngine
     SegmentBuffer segmentScratch_;
 
     /** Columnar view of the batch currently being replayed. */
-    IoEventBatch batch_;
+    trace::IoEventBatch batch_;
 
-    /** Batched translation results (reads / writes), reused. */
-    SegmentBufferBatch readBatch_;
-    SegmentBufferBatch writeBatch_;
-
-    /** One event per batch record, reused across batches; sized to
-     *  replayBatchSize on the first batch. */
+    /** One event per batch record, reused across batches. */
     std::vector<IoEvent> events_;
-
-    /** Upper bound of the adaptive read-translate chunk. */
-    static constexpr std::size_t kReadTranslateChunkMax = 32;
-
-    /** Current read-translate mini-chunk size in records; halves
-     *  to 1 when a chunk is invalidated by a translation-mutating
-     *  event and doubles back on every clean chunk (see
-     *  serveReadRun). Persists across batches within the run so a
-     *  defrag storm keeps replaying at scalar cost. */
-    std::size_t readChunk_ = kReadTranslateChunkMax;
 
     /** layer_->hasMaintenance(), sampled once at construction. */
     bool layerHasMaintenance_ = false;
 
     /** True when the pipeline is exactly the media-access stage. */
     bool mediaOnly_ = false;
-
-    /** Batching telemetry (self-gated on the global switch). */
-    telemetry::Counter *batchesTotal_ = nullptr;
-    telemetry::LatencyHistogram *batchSize_ = nullptr;
 
     /** Samples the layer's merge/cleaning counter; may be empty. */
     std::function<std::uint64_t()> cleaningMerges_;

@@ -133,11 +133,6 @@ Simulator::tryRun(const trace::Trace &trace, CancelToken cancel)
 StatusOr<SimResult>
 Simulator::tryRun(trace::TraceInput &input, CancelToken cancel)
 {
-    if (config_.replayBatchSize < 1 ||
-        config_.replayBatchSize > 65536)
-        return invalidArgumentError(
-            "replayBatchSize must be in [1, 65536]; got " +
-            std::to_string(config_.replayBatchSize));
     Status valid = validateInput(input);
     if (!valid.ok())
         return valid;
@@ -173,7 +168,6 @@ runWithBaseline(const trace::Trace &trace, const SimConfig &ls_config,
     SimConfig baseline_config;
     baseline_config.translation = TranslationKind::Conventional;
     baseline_config.seekTime = ls_config.seekTime;
-    baseline_config.replayBatchSize = ls_config.replayBatchSize;
 
     Simulator baseline(baseline_config);
     Simulator log_structured(ls_config);

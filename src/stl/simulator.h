@@ -93,9 +93,6 @@ struct SimConfig
      */
     std::optional<disk::ZonedDeviceOptions> zonedDevice;
 
-    /** Records per columnar replay batch; must be in [1, 65536]. */
-    int replayBatchSize = 256;
-
     /**
      * Durable translation-metadata journal; off (null) by default.
      * When set, the translation layer records every state mutation

@@ -113,7 +113,6 @@ BenchCli::sweepOptions(ObserverFactory extra) const
     options.retry.maxAttempts = retries + 1;
     options.checkpointPath = checkpointPath;
     options.resumePath = resumePath;
-    options.replayBatchSize = replayBatch;
 
     // --convert-out exports the first workload's trace once it is
     // loaded, in the --trace-format (or extension-implied) format.
@@ -189,8 +188,8 @@ benchUsage(const std::string &name)
            "[--fault-rate R] [--bad-sector-seed N] "
            "[--max-open-zones N] [--error-log-cap N] "
            "[--log-capacity N] [--segment-bytes N] "
-           "[--clean-reserve N] [--replay-batch N] "
-           "[--trace-format F] [--convert-out file] [--help]";
+           "[--clean-reserve N] [--trace-format F] "
+           "[--convert-out file] [--help]";
 }
 
 std::string
@@ -243,8 +242,6 @@ benchHelp(const std::string &name)
         "in bytes [64 KiB, 1 GiB]\n"
         "  --clean-reserve N    finite-log cleaning reserve "
         "override in segments [1, 1024]\n"
-        "  --replay-batch N     replay batch size in records "
-        "[1, 65536] (default 256)\n"
         "  --trace-format F     format of trace files read or "
         "converted:\n"
         "                       auto, csv, lskt or lskc "
@@ -267,9 +264,8 @@ benchFlagNames()
             "--fault-rate",    "--bad-sector-seed",
             "--max-open-zones", "--error-log-cap",
             "--log-capacity",  "--segment-bytes",
-            "--clean-reserve", "--replay-batch",
-            "--trace-format",  "--convert-out",
-            "--help"};
+            "--clean-reserve", "--trace-format",
+            "--convert-out",   "--help"};
 }
 
 StatusOr<BenchCli>
@@ -487,19 +483,6 @@ tryParseBenchCli(int argc, char **argv, double default_scale)
                     *value);
             cli.cleanReserve =
                 static_cast<std::uint32_t>(reserve.value());
-        } else if (matches("--replay-batch")) {
-            if (!value)
-                return invalidArgumentError(
-                    "--replay-batch requires a value");
-            StatusOr<long long> batch =
-                parseIntArg("--replay-batch", *value);
-            if (!batch.ok())
-                return batch.status();
-            if (batch.value() < 1 || batch.value() > 65536)
-                return invalidArgumentError(
-                    "--replay-batch must be in [1, 65536]: got " +
-                    *value);
-            cli.replayBatch = static_cast<int>(batch.value());
         } else if (matches("--trace-format")) {
             if (!value)
                 return invalidArgumentError(

@@ -9,8 +9,7 @@
  *           [--retries N] [--checkpoint path] [--resume path]
  *           [--metrics-out file] [--trace-out file]
  *           [--fault-rate R] [--bad-sector-seed N]
- *           [--max-open-zones N] [--error-log-cap N]
- *           [--replay-batch N] [--help]
+ *           [--max-open-zones N] [--error-log-cap N] [--help]
  *
  * scale/seed feed the synthetic workload profiles; --jobs sets the
  * sweep worker count ("auto" = hardware concurrency; 0 and negative
@@ -25,11 +24,9 @@
  * subsystem (off, and costing nothing, by default): --metrics-out
  * writes a metrics snapshot after the sweep (.prom/.txt selects
  * Prometheus text, anything else JSON) and --trace-out writes a
- * Chrome trace_event JSON file of the sweep's spans.
- * --replay-batch overrides the engine's columnar batch size
- * (byte-identical at every size; docs/parallel_replay.md). All
- * numeric arguments are validated strictly — a malformed value is
- * a typed InvalidArgument error, never a silent default.
+ * Chrome trace_event JSON file of the sweep's spans. All numeric
+ * arguments are validated strictly — a malformed value is a typed
+ * InvalidArgument error, never a silent default.
  */
 
 #ifndef LOGSEEK_SWEEP_CLI_H
@@ -119,10 +116,6 @@ struct BenchCli
      *  clean target follows at reserve + 2 unless the bench sets
      *  its own. */
     std::uint32_t cleanReserve = 0;
-
-    /** Replay batch size override in records (--replay-batch, in
-     *  [1, 65536]); 0 = the engine default. */
-    int replayBatch = 0;
 
     /** Declared format of trace files a bench reads or converts
      *  (--trace-format {auto, csv, lskt, lskc}); Auto (the

@@ -288,9 +288,6 @@ SweepRunner::run()
                         }
                         config = configs_[c].make(*memory);
                     }
-                    if (options_.replayBatchSize > 0)
-                        config.replayBatchSize =
-                            options_.replayBatchSize;
                     stl::Simulator simulator(config);
                     // Fresh observers every attempt: a replay that
                     // died mid-trace left them half-updated.

@@ -347,10 +347,6 @@ struct SweepOptions
      * reported). May run concurrently with itself.
      */
     std::function<void(const RunRow &row)> onCellComplete;
-
-    /** Override SimConfig::replayBatchSize on every cell; 0 (the
-     *  default) leaves each config's own value. */
-    int replayBatchSize = 0;
 };
 
 struct CellRecord; // sweep/checkpoint.h

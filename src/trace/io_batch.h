@@ -1,12 +1,11 @@
 /**
  * @file
- * Columnar I/O batch: the structure-of-arrays block the batch-first
- * replay core consumes.
+ * Columnar I/O batch: the structure-of-arrays block a TraceInput
+ * hands the replay engine.
  *
  * An IoEventBatch exposes one block of trace records as three
  * parallel columns (lba/len as contiguous SectorExtents, timestamps
- * and types alongside), so a whole run of same-type records can be
- * handed to the translation layer as one span. The columns can be
+ * and types alongside). The columns can be
  *
  *  - owned: buildFrom() copies a Trace block (or clear()/append()
  *    assembles one record at a time), reusing the vectors'
@@ -35,10 +34,9 @@ namespace logseek::trace
 {
 
 /**
- * Structure-of-arrays form of one block of trace records. The
- * extent column doubles as the contiguous span the batched
- * translation API consumes; timestamps and types stay in their own
- * columns so run-splitting scans touch only one byte per record.
+ * Structure-of-arrays form of one block of trace records; the
+ * column layout matches an LSKC section, so bind() can serve one
+ * without a copy.
  */
 class IoEventBatch
 {
@@ -118,20 +116,6 @@ class IoEventBatch
     record(std::size_t i) const
     {
         return IoRecord{timestamps_[i], types_[i], extents_[i]};
-    }
-
-    /** Pointer into the contiguous extent column (for spans). */
-    const SectorExtent *extentData() const { return extents_; }
-
-    /** One past the last index of the same-type run starting at i. */
-    std::size_t
-    runEnd(std::size_t i) const
-    {
-        const IoType head = types_[i];
-        std::size_t j = i + 1;
-        while (j < size_ && types_[j] == head)
-            ++j;
-        return j;
     }
 
   private:

@@ -11,11 +11,19 @@
 #   device device_fault_sweep 0.002 --fault-rate=0.01 --jobs 1: the
 #          stdout table (device_fault_sweep.txt) and the JSON report
 #          with its timing fields stripped (device_fault_sweep.json)
+#   layers compare_translation_layers 0.002 --jobs 1: the stdout
+#          table (compare_translation_layers.txt) and the JSON report
+#          with its timing fields stripped
+#          (compare_translation_layers.json)
+#   gc     gc_ablation 0.002 --jobs 1: the JSON report
+#          (gc_ablation.json; it has no timing fields)
 #
 # Usage:
 #   tests/golden/check_golden.sh fig11 <fig11_saf binary> <work dir>
 #   tests/golden/check_golden.sh crash <crash_recovery_bench binary> <work dir>
 #   tests/golden/check_golden.sh device <device_fault_sweep binary> <work dir>
+#   tests/golden/check_golden.sh layers <compare_translation_layers binary> <work dir>
+#   tests/golden/check_golden.sh gc <gc_ablation binary> <work dir>
 #
 # The fresh outputs stay in the work dir. On a mismatch the script
 # names the produced file; copying it over the golden is a behaviour
@@ -24,7 +32,7 @@
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
-    echo "usage: $0 fig11|crash|device <binary> <work dir>" >&2
+    echo "usage: $0 fig11|crash|device|layers|gc <binary> <work dir>" >&2
     exit 2
 fi
 mode="$1"
@@ -71,6 +79,22 @@ device)
         "${work}/device_fault_sweep.txt"
     check "${golden}/device_fault_sweep.json" \
         "${work}/device_fault_sweep.json"
+    ;;
+layers)
+    "${binary}" 0.002 --jobs 1 \
+        --json="${work}/compare_translation_layers.raw.json" \
+        > "${work}/compare_translation_layers.txt"
+    strip_timing "${work}/compare_translation_layers.raw.json" \
+        > "${work}/compare_translation_layers.json"
+    check "${golden}/compare_translation_layers.txt" \
+        "${work}/compare_translation_layers.txt"
+    check "${golden}/compare_translation_layers.json" \
+        "${work}/compare_translation_layers.json"
+    ;;
+gc)
+    "${binary}" 0.002 --jobs 1 --json="${work}/gc_ablation.json" \
+        > /dev/null
+    check "${golden}/gc_ablation.json" "${work}/gc_ablation.json"
     ;;
 *)
     echo "$0: unknown mode '${mode}'" >&2

@@ -3,17 +3,19 @@
  * Property-based tests for the simulation engine over randomized
  * traces: translation correctness against a per-sector shadow
  * model, segment tiling, seek-accounting invariants, mechanism
- * monotonicity, and byte-identity across replay batch sizes.
+ * monotonicity, and byte-identity across input batch boundaries.
  */
 
 #include <gtest/gtest.h>
 
 #include "util/logging.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
 #include "stl/simulator.h"
+#include "trace/input.h"
 #include "util/random.h"
 
 namespace logseek::stl
@@ -212,11 +214,46 @@ INSTANTIATE_TEST_SUITE_P(
         PropertyParams{20, 0.95, true, true, false}));
 
 /**
- * Replay-batch differentials: SimConfig::replayBatchSize is an
- * execution strategy, so the SimResult — every counter, the bit
- * pattern of seekTimeSec and the zoned-device mirror — must be
- * byte-identical (operator==) at every batch size.
+ * Batch-boundary differentials: how many records a TraceInput hands
+ * over per next() call is not part of the model, so the SimResult —
+ * every counter, the bit pattern of seekTimeSec and the zoned-device
+ * mirror — must be byte-identical (operator==) whether the engine
+ * pulls full batches or crosses a batch boundary every k records.
  */
+
+/** TraceRef that hands over at most `cap` records per next(). */
+class CappedInput final : public trace::TraceInput
+{
+  public:
+    CappedInput(const trace::Trace &trace, std::size_t cap)
+        : inner_(trace), cap_(cap)
+    {
+    }
+
+    const std::string &name() const override { return inner_.name(); }
+    Lba addressSpaceEnd() const override
+    {
+        return inner_.addressSpaceEnd();
+    }
+    std::size_t
+    next(trace::IoEventBatch &batch, std::size_t max) override
+    {
+        return inner_.next(batch, std::min(max, cap_));
+    }
+    void reset() override { inner_.reset(); }
+
+  private:
+    trace::TraceRef inner_;
+    std::size_t cap_;
+};
+
+SimResult
+runCapped(const SimConfig &config, const trace::Trace &trace,
+          std::size_t cap)
+{
+    CappedInput input(trace, cap);
+    return Simulator(config).run(input);
+}
 
 /**
  * Base configuration per layer. The finite-log and media-cache
@@ -253,13 +290,6 @@ batchTraceSpace(TranslationKind kind)
                                                         : 1 << 20;
 }
 
-SimResult
-runAtBatch(SimConfig config, const trace::Trace &trace, int batch)
-{
-    config.replayBatchSize = batch;
-    return Simulator(config).run(trace);
-}
-
 TEST(ReplayBatch, ByteIdenticalAcrossBatchSizesAndLayers)
 {
     std::uint64_t combo = 0;
@@ -273,26 +303,26 @@ TEST(ReplayBatch, ByteIdenticalAcrossBatchSizesAndLayers)
                 randomTrace(0x5ead0 + combo++, 12000,
                             batchTraceSpace(kind), 0.4);
             const SimConfig config = batchBaseConfig(kind, zoned);
-            const SimResult scalar = runAtBatch(config, trace, 1);
-            for (const int batch : {17, 256})
-                EXPECT_TRUE(runAtBatch(config, trace, batch) ==
-                            scalar)
-                    << scalar.configLabel
+            const SimResult reference = Simulator(config).run(trace);
+            for (const std::size_t cap : {1U, 17U})
+                EXPECT_TRUE(runCapped(config, trace, cap) ==
+                            reference)
+                    << reference.configLabel
                     << (zoned ? "+zoned" : "")
-                    << " diverged at batch " << batch;
+                    << " diverged at batch " << cap;
         }
     }
 }
 
 TEST(ReplayBatch, MechanismsAndOddBatchStayByteIdentical)
 {
-    // All mechanisms at once: defrag rewrites invalidate batched
-    // translations mid-run, prefetch and the selective cache
-    // reorder media accesses. A batch size that divides into
-    // nothing evenly splits every run at awkward boundaries. The
-    // 2 MiB space makes later reads in the same translate chunk
-    // hit ranges a defrag rewrite just moved, so a stale batched
-    // translation shows up as a diverged result.
+    // All mechanisms at once: defrag rewrites change translations
+    // mid-batch, prefetch and the selective cache reorder media
+    // accesses. A batch size that divides into nothing evenly
+    // splits the trace at awkward boundaries. The 2 MiB space
+    // makes later reads in the same batch hit ranges a defrag
+    // rewrite just moved, so a stale translation shows up as a
+    // diverged result.
     SimConfig config;
     config.translation = TranslationKind::LogStructured;
     config.defrag = DefragConfig{};
@@ -304,10 +334,9 @@ TEST(ReplayBatch, MechanismsAndOddBatchStayByteIdentical)
             randomTrace(0x5ead10, 20000, space, 0.4);
         const SimResult reference = Simulator(config).run(trace);
         ASSERT_GT(reference.defragRewrites, 0U);
-        for (const int batch : {1, 17})
-            EXPECT_TRUE(runAtBatch(config, trace, batch) ==
-                        reference)
-                << "LS+all diverged at batch " << batch
+        for (const std::size_t cap : {1U, 17U})
+            EXPECT_TRUE(runCapped(config, trace, cap) == reference)
+                << "LS+all diverged at batch " << cap
                 << ", space " << space;
     }
 }
@@ -334,33 +363,17 @@ TEST(ReplayBatch, CleaningSeeksByteIdenticalAcrossBatchSizes)
                 Simulator(config).run(trace);
             ASSERT_GT(reference.cleaningMerges, 0U);
             ASSERT_GT(reference.cleaningSeeks, 0U);
-            for (const int batch : {1, 17}) {
-                const SimResult result =
-                    runAtBatch(config, trace, batch);
+            for (const std::size_t cap : {1U, 17U}) {
+                const SimResult result = runCapped(config, trace, cap);
                 EXPECT_EQ(result.cleaningSeeks,
                           reference.cleaningSeeks)
                     << reference.configLabel << " diverged at batch "
-                    << batch;
+                    << cap;
                 EXPECT_TRUE(result == reference)
                     << reference.configLabel << " diverged at batch "
-                    << batch;
+                    << cap;
             }
         }
-    }
-}
-
-TEST(ReplayBatch, RejectsOutOfRangeBatchSize)
-{
-    const trace::Trace trace = randomTrace(0x5ead99, 64, 1 << 16,
-                                           0.5);
-    for (const int batch : {0, -3, 65537}) {
-        SimConfig config;
-        config.replayBatchSize = batch;
-        const auto result = Simulator(config).tryRun(trace);
-        ASSERT_FALSE(result.ok()) << "batch " << batch;
-        EXPECT_EQ(result.status().code(),
-                  StatusCode::InvalidArgument)
-            << "batch " << batch;
     }
 }
 

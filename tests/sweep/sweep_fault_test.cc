@@ -393,59 +393,6 @@ TEST(SweepRunnerResumeTest, KilledSweepResumesByteIdentically)
     }
 }
 
-TEST(SweepRunnerResumeTest, ResumedBatchedSweepIsByteIdentical)
-{
-    // The all-mechanisms config adds defrag rewrites, which
-    // invalidate batched translations mid-run.
-    std::vector<ConfigSpec> configs = twoConfigs();
-    stl::SimConfig ls_all = logStructured();
-    ls_all.defrag = stl::DefragConfig{};
-    ls_all.prefetch = stl::PrefetchConfig{};
-    ls_all.cache = stl::SelectiveCacheConfig{64 * kMiB};
-    configs.push_back(ConfigSpec::fixed("LS+all", ls_all));
-    const std::string reference = deterministicJson(
-        SweepRunner(twoWorkloads(), configs, {}).run());
-
-    // Interrupt a checkpointing sweep at a ragged batch size after
-    // its first completed cell, then resume at the same batch size:
-    // the batch size must not leak into what gets checkpointed or
-    // how restored rows compare with the default-batch reference.
-    TempPath ckpt("sweep_resume_batch.ckpt");
-    CancelSource source;
-    std::atomic<int> completed{0};
-    SweepOptions interrupted;
-    interrupted.jobs = 1; // deterministic completion order
-    interrupted.replayBatchSize = 17;
-    interrupted.checkpointPath = ckpt.str();
-    interrupted.cancel = source.token();
-    interrupted.onCellComplete = [&](const RunRow &) {
-        if (completed.fetch_add(1) + 1 == 1)
-            source.cancel();
-    };
-    const SweepResult first =
-        SweepRunner(twoWorkloads(), configs, interrupted).run();
-
-    std::uint64_t finished = 0;
-    for (const RunRow &row : first.rows)
-        if (row.status.ok())
-            ++finished;
-    ASSERT_GE(finished, 1u);
-    ASSERT_LT(finished, first.rows.size());
-
-    for (const int jobs : {1, 4}) {
-        SweepOptions resume;
-        resume.jobs = jobs;
-        resume.replayBatchSize = 17;
-        resume.resumePath = ckpt.str();
-        const SweepResult resumed =
-            SweepRunner(twoWorkloads(), configs, resume).run();
-        EXPECT_EQ(deterministicJson(resumed), reference)
-            << "jobs " << jobs;
-        EXPECT_EQ(resumed.telemetry.restoredRuns, finished)
-            << "jobs " << jobs;
-    }
-}
-
 /** A complete, clean checkpoint of the 2x2 sweep. */
 std::string
 completeCheckpointImage(const std::string &path)

@@ -134,19 +134,6 @@ TEST(SweepRunnerTest, ParallelRunIsByteIdenticalToSerial)
     EXPECT_EQ(deterministicJson(one), deterministicJson(eight));
 }
 
-TEST(SweepRunnerTest, ExplicitBatchSizeStaysIdentical)
-{
-    const std::string reference = deterministicJson(
-        SweepRunner(tinyWorkloads(), fullMatrix(), {}).run());
-
-    SweepOptions options;
-    options.jobs = 2;
-    options.replayBatchSize = 17; // ragged run boundaries
-    const SweepResult batched =
-        SweepRunner(tinyWorkloads(), fullMatrix(), options).run();
-    EXPECT_EQ(deterministicJson(batched), reference);
-}
-
 TEST(SweepRunnerTest, TelemetryDoesNotPerturbSweepResults)
 {
     // The acceptance bar for observability: with collection armed,
