@@ -53,7 +53,10 @@
 # byte-identical across sweep parallelism — and finally diffs the
 # report against tests/golden/gc_ablation.json, an absolute check
 # (the checked-in BENCH_gc_ablation.json is regenerated manually at
-# full scale).
+# full scale). It also runs cleaning_interaction 0.002 --jobs 1
+# through tests/golden/check_golden.sh cleaning: the only harness
+# that drives finite-log relocation (defrag) and cleaning under all
+# three policies.
 #
 # The extra mode `ingest-smoke` builds perf_ingest and
 # trace_convert under the default preset, converts a sample MSR CSV
@@ -74,10 +77,17 @@
 #   scripts/tier1.sh gc-smoke
 #   scripts/tier1.sh ingest-smoke
 #   JOBS=8 scripts/tier1.sh     # override the build parallelism
+#
+# Scratch files (golden outputs, the --jobs 2 report, the ingest
+# sample) go to one private mktemp directory per run, removed on
+# exit, so concurrent runs cannot clobber each other.
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+SCRATCH="$(mktemp -d "${TMPDIR:-/tmp}/tier1.XXXXXX")"
+trap 'rm -rf "${SCRATCH}"' EXIT
 
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 PRESETS=("$@")
@@ -104,13 +114,13 @@ run_bench_smoke() {
         --target fig11_saf crash_recovery_bench device_fault_sweep \
         compare_translation_layers
     tests/golden/check_golden.sh fig11 build/bench/fig11_saf \
-        /tmp/tier1_golden
+        "${SCRATCH}/golden"
     tests/golden/check_golden.sh crash \
-        build/bench/crash_recovery_bench /tmp/tier1_golden
+        build/bench/crash_recovery_bench "${SCRATCH}/golden"
     tests/golden/check_golden.sh device \
-        build/bench/device_fault_sweep /tmp/tier1_golden
+        build/bench/device_fault_sweep "${SCRATCH}/golden"
     tests/golden/check_golden.sh layers \
-        build/bench/compare_translation_layers /tmp/tier1_golden
+        build/bench/compare_translation_layers "${SCRATCH}/golden"
     echo "==> tier1: golden outputs byte-identical"
 }
 
@@ -138,15 +148,18 @@ run_crash_smoke() {
 run_gc_smoke() {
     echo "==> tier1: gc-smoke"
     cmake --preset default
-    cmake --build --preset default -j "${JOBS}" --target gc_ablation
+    cmake --build --preset default -j "${JOBS}" \
+        --target gc_ablation cleaning_interaction
     build/bench/gc_ablation 0.002 --jobs 1 \
         --json=BENCH_gc_ablation.smoke.json > /dev/null
     build/bench/gc_ablation 0.002 --jobs 2 \
-        --json=/tmp/tier1_gc_jobs2.json > /dev/null
-    diff BENCH_gc_ablation.smoke.json /tmp/tier1_gc_jobs2.json
+        --json="${SCRATCH}/gc_jobs2.json" > /dev/null
+    diff BENCH_gc_ablation.smoke.json "${SCRATCH}/gc_jobs2.json"
     echo "==> tier1: gc-smoke byte-identical across --jobs"
     diff -u tests/golden/gc_ablation.json BENCH_gc_ablation.smoke.json
     echo "==> tier1: gc-smoke byte-identical to the golden"
+    tests/golden/check_golden.sh cleaning \
+        build/bench/cleaning_interaction "${SCRATCH}/golden"
 }
 
 run_ingest_smoke() {
@@ -156,17 +169,17 @@ run_ingest_smoke() {
         --target perf_ingest trace_convert
     # Conversion determinism: CSV -> LSKC, then LSKC -> LSKC again;
     # the canonicalizing reconversion must be byte-identical.
-    sample=/tmp/tier1_ingest_sample.csv
+    sample="${SCRATCH}/ingest_sample.csv"
     printf '%s\n' \
         '128166372003640000,hm,0,Read,328452096,8192,1547' \
         '128166372004137000,hm,0,Write,2216429568,4096,388' \
         '128166372016260000,hm,0,Read,328497152,16384,723' \
         > "${sample}"
     build/bench/trace_convert "${sample}" \
-        --convert-out /tmp/tier1_ingest.lskc
-    build/bench/trace_convert /tmp/tier1_ingest.lskc \
-        --convert-out /tmp/tier1_ingest2.lskc --out-format lskc
-    cmp /tmp/tier1_ingest.lskc /tmp/tier1_ingest2.lskc
+        --convert-out "${SCRATCH}/ingest.lskc"
+    build/bench/trace_convert "${SCRATCH}/ingest.lskc" \
+        --convert-out "${SCRATCH}/ingest2.lskc" --out-format lskc
+    cmp "${SCRATCH}/ingest.lskc" "${SCRATCH}/ingest2.lskc"
     echo "==> tier1: ingest-smoke conversion byte-identical"
     # The benchmark asserts its own contracts (>= 10x mmap-open,
     # replay byte-identity, flat streaming RSS) and fails the gate

@@ -51,9 +51,11 @@ FiniteLogStructuredLayer::FiniteLogStructuredLayer(
             "FiniteLogStructuredLayer: streams plus clean target "
             "must not exceed the segment count");
     segments_.resize(count);
-    segments_[0].free = false; // stream 0's initial open segment
+    reverse_.resize(count);
+    freeCount_ = static_cast<std::uint32_t>(count);
     streams_.resize(config.gc.streams);
-    streams_[0] = {0, logStart_, true};
+    claimSegment(0); // stream 0's initial open segment
+    setStream(0, 0, logStart_);
     if (config.gc.streams > 1)
         router_.emplace(config.gc.streams, config.gc.router);
 
@@ -82,70 +84,127 @@ FiniteLogStructuredLayer::segmentOf(Pba pba) const
 }
 
 void
-FiniteLogStructuredLayer::adjustLive(const SectorExtent &range,
-                                     bool add)
+FiniteLogStructuredLayer::addLive(Pba pba, Lba lba, SectorCount count)
+{
+    // Append never places a piece across a segment end, but a
+    // journal entry is split anyway so the index stays per segment.
+    while (count > 0) {
+        const std::uint32_t seg = segmentOf(pba);
+        const SectorCount piece = std::min<SectorCount>(
+            count, segmentStart(seg + 1ULL) - pba);
+        // A segment fills in write-pointer order after it was
+        // emptied, so the new entry almost always sorts last.
+        std::vector<ReverseEntry> &entries = reverse_[seg];
+        const ReverseEntry entry{pba, lba, piece};
+        if (entries.empty() || entries.back().pba < pba) {
+            entries.push_back(entry);
+        } else {
+            entries.insert(std::partition_point(
+                               entries.begin(), entries.end(),
+                               [&](const ReverseEntry &e) {
+                                   return e.pba < pba;
+                               }),
+                           entry);
+        }
+        claimSegment(seg);
+        segments_[seg].live += piece;
+        segments_[seg].lastWrite = tick_;
+        pba += piece;
+        lba += piece;
+        count -= piece;
+    }
+}
+
+void
+FiniteLogStructuredLayer::removeLive(const SectorExtent &range)
 {
     // A range may straddle segment boundaries; split per segment.
     Pba cursor = range.start;
     while (cursor < range.end()) {
         const std::uint32_t seg = segmentOf(cursor);
-        const Pba seg_end =
-            logStart_ + (seg + 1ULL) * segmentSectors_;
-        const SectorCount piece =
-            std::min<SectorCount>(range.end(), seg_end) - cursor;
-        SegmentState &state = segments_[seg];
-        if (add) {
-            state.live += piece;
-        } else {
-            panicIf(state.live < piece,
-                    "FiniteLogStructuredLayer: liveness underflow");
-            state.live -= piece;
+        const Pba piece_end =
+            std::min<Pba>(range.end(), segmentStart(seg + 1ULL));
+        gc::SegmentSummary &state = segments_[seg];
+        panicIf(state.live < piece_end - cursor,
+                "FiniteLogStructuredLayer: liveness underflow");
+        state.live -= piece_end - cursor;
+
+        // Entries [lo, hi) overlap [cursor, piece_end); only the
+        // first can keep a head and only the last a tail.
+        std::vector<ReverseEntry> &entries = reverse_[seg];
+        const auto lo = std::partition_point(
+            entries.begin(), entries.end(),
+            [&](const ReverseEntry &e) {
+                return e.pba + e.count <= cursor;
+            });
+        const auto hi = std::partition_point(
+            lo, entries.end(), [&](const ReverseEntry &e) {
+                return e.pba < piece_end;
+            });
+        if (lo != hi) {
+            const ReverseEntry first = *lo;
+            const ReverseEntry last = *(hi - 1);
+            ReverseEntry kept[2];
+            std::ptrdiff_t k = 0;
+            if (first.pba < cursor)
+                kept[k++] = {first.pba, first.lba, cursor - first.pba};
+            if (last.pba + last.count > piece_end)
+                kept[k++] = {piece_end,
+                             last.lba + (piece_end - last.pba),
+                             last.pba + last.count - piece_end};
+            if (k > hi - lo) {
+                // The range punched a hole in one entry.
+                *lo = kept[0];
+                entries.insert(lo + 1, kept[1]);
+            } else {
+                std::copy(kept, kept + k, lo);
+                entries.erase(lo + k, hi);
+            }
         }
-        cursor += piece;
+        cursor = piece_end;
+    }
+}
+
+bool
+FiniteLogStructuredLayer::reverseHas(std::uint32_t seg, Pba pba) const
+{
+    const std::vector<ReverseEntry> &entries = reverse_[seg];
+    const auto it = std::partition_point(
+        entries.begin(), entries.end(),
+        [&](const ReverseEntry &e) { return e.pba < pba; });
+    return it != entries.end() && it->pba == pba;
+}
+
+void
+FiniteLogStructuredLayer::claimSegment(std::uint32_t i)
+{
+    if (segments_[i].free) {
+        segments_[i].free = false;
+        --freeCount_;
     }
 }
 
 void
-FiniteLogStructuredLayer::removeReverse(const SectorExtent &range)
+FiniteLogStructuredLayer::setStream(std::uint32_t sid,
+                                    std::uint32_t open, Pba ptr)
 {
-    auto it = reverse_.upper_bound(range.start);
-    if (it != reverse_.begin())
-        --it;
-    while (it != reverse_.end() && it->first < range.end()) {
-        const SectorExtent entry{it->first, it->second.second};
-        const Lba entry_lba = it->second.first;
-        auto next = std::next(it);
-        const auto overlap = intersect(entry, range);
-        if (overlap) {
-            reverse_.erase(it);
-            if (entry.start < overlap->start) {
-                reverse_.emplace(
-                    entry.start,
-                    std::make_pair(entry_lba,
-                                   overlap->start - entry.start));
-            }
-            if (overlap->end() < entry.end()) {
-                reverse_.emplace(
-                    overlap->end(),
-                    std::make_pair(entry_lba +
-                                       (overlap->end() - entry.start),
-                                   entry.end() - overlap->end()));
-            }
-        }
-        it = next;
-    }
+    StreamState &stream = streams_[sid];
+    if (stream.opened)
+        segments_[stream.openSegment].open = false;
+    segments_[open].open = true;
+    stream = {open, ptr, true};
 }
 
 void
 FiniteLogStructuredLayer::openFreeSegment(std::uint32_t sid)
 {
-    for (std::uint32_t i = 0; i < segments_.size(); ++i) {
-        if (segments_[i].free) {
-            segments_[i].free = false;
-            streams_[sid] = {
-                i, logStart_ + static_cast<Pba>(i) * segmentSectors_,
-                true};
-            return;
+    if (freeCount_ > 0) {
+        for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+            if (segments_[i].free) {
+                claimSegment(i);
+                setStream(sid, i, segmentStart(i));
+                return;
+            }
         }
     }
     fatal("finite log out of space: no free segment to open "
@@ -164,30 +223,20 @@ FiniteLogStructuredLayer::append(Lba lba, SectorCount count,
     if (!stream.opened)
         openFreeSegment(sid);
     while (count > 0) {
-        const Pba open_end =
-            logStart_ + (static_cast<Pba>(stream.openSegment) + 1) *
-                            segmentSectors_;
-        if (stream.writePtr == open_end)
+        if (stream.writePtr == segmentStart(stream.openSegment + 1ULL))
             openFreeSegment(sid);
-        const Pba open_limit =
-            logStart_ + (static_cast<Pba>(stream.openSegment) + 1) *
-                            segmentSectors_;
         const SectorCount take = std::min<SectorCount>(
-            count, open_limit - stream.writePtr);
+            count,
+            segmentStart(stream.openSegment + 1ULL) - stream.writePtr);
 
         displacedScratch_.clear();
         map_.mapRange(lba, stream.writePtr, take,
                       &displacedScratch_);
-        for (const auto &dead : displacedScratch_) {
-            // Identity holes are never in the forward map, so every
-            // displaced range is log-resident.
-            adjustLive(dead, false);
-            removeReverse(dead);
-        }
-        reverse_.emplace(stream.writePtr,
-                         std::make_pair(lba, take));
-        adjustLive({stream.writePtr, take}, true);
-        segments_[stream.openSegment].lastWrite = tick_;
+        // Identity holes are never in the forward map, so every
+        // displaced range is log-resident.
+        for (const auto &dead : displacedScratch_)
+            removeLive(dead);
+        addLive(stream.writePtr, lba, take);
 
         out.push(Segment{SectorExtent{lba, take}, stream.writePtr,
                          true});
@@ -249,17 +298,6 @@ FiniteLogStructuredLayer::staticFragmentCount() const
     return map_.entryCount();
 }
 
-std::uint32_t
-FiniteLogStructuredLayer::freeSegments() const
-{
-    std::uint32_t count = 0;
-    for (const auto &segment : segments_) {
-        if (segment.free)
-            ++count;
-    }
-    return count;
-}
-
 SectorCount
 FiniteLogStructuredLayer::segmentLive(std::uint32_t i) const
 {
@@ -268,35 +306,24 @@ FiniteLogStructuredLayer::segmentLive(std::uint32_t i) const
     return segments_[i].live;
 }
 
-bool
-FiniteLogStructuredLayer::segmentOpen(std::uint32_t i) const
-{
-    for (const StreamState &stream : streams_) {
-        if (stream.opened && stream.openSegment == i)
-            return true;
-    }
-    return false;
-}
-
-std::vector<MediaAccess>
+const std::vector<MediaAccess> &
 FiniteLogStructuredLayer::maintenance()
 {
-    std::vector<MediaAccess> accesses;
+    accesses_.clear();
     // Hysteresis: cleaning starts when the reserve is reached and
-    // runs until the target is restored (policy-overridable).
-    if (!policy_->startCleaning(freeSegments(),
-                                config_.cleanReserveSegments))
-        return accesses;
-    while (policy_->continueCleaning(freeSegments(),
-                                     config_.cleanTargetSegments)) {
+    // runs until the target is restored.
+    if (freeCount_ > config_.cleanReserveSegments)
+        return accesses_;
+    while (freeCount_ < config_.cleanTargetSegments) {
         const std::optional<std::uint32_t> selected =
-            policy_->selectVictim(*this);
+            policy_->selectVictim(
+                {segments_, segmentSectors_, tick_});
         if (!selected) {
             // All closed segments are fully live: compaction has
             // nothing to reclaim right now. That is fine as long
             // as we are above the reserve; below it the log is
             // genuinely overcommitted.
-            if (freeSegments() > config_.cleanReserveSegments)
+            if (freeCount_ > config_.cleanReserveSegments)
                 break;
             fatal("finite log overcommitted: cleaning cannot "
                   "reclaim space (live data exceeds capacity "
@@ -312,49 +339,43 @@ FiniteLogStructuredLayer::maintenance()
                                      segmentSectors_);
 
         // Move the victim's live extents to the frontier.
-        const Pba victim_start =
-            logStart_ + static_cast<Pba>(victim) * segmentSectors_;
-        const SectorExtent victim_extent{victim_start,
+        const SectorExtent victim_extent{segmentStart(victim),
                                          segmentSectors_};
-        std::vector<std::pair<Pba, std::pair<Lba, SectorCount>>>
-            live;
-        for (auto it = reverse_.lower_bound(victim_start);
-             it != reverse_.end() &&
-             it->first < victim_extent.end();
-             ++it) {
-            live.emplace_back(*it);
-        }
+        victimScratch_.assign(reverse_[victim].begin(),
+                              reverse_[victim].end());
 
         // Zone-granular policies stream the whole victim zone in
         // one sequential read (a single seek) instead of seeking
         // to each live extent individually.
         const bool whole_zone = policy_->wholeZoneRead();
         if (whole_zone && victim_live > 0) {
-            accesses.push_back(
+            accesses_.push_back(
                 {victim_extent, trace::IoType::Read});
         }
 
-        for (const auto &[pba, entry] : live) {
-            const auto &[lba, count] = entry;
+        for (const ReverseEntry &entry : victimScratch_) {
             // The entry may have been displaced by an earlier
             // rewrite in this same pass; re-check residency.
-            if (!reverse_.contains(pba))
+            if (!reverseHas(victim, entry.pba))
                 continue;
             if (!whole_zone) {
-                accesses.push_back({SectorExtent{pba, count},
-                                    trace::IoType::Read});
+                accesses_.push_back(
+                    {SectorExtent{entry.pba, entry.count},
+                     trace::IoType::Read});
             }
             cleanScratch_.clear();
-            append(lba, count, cleanScratch_, coldStream());
+            append(entry.lba, entry.count, cleanScratch_,
+                   coldStream());
             for (const Segment &segment : cleanScratch_) {
-                accesses.push_back({segment.physical(),
-                                    trace::IoType::Write});
+                accesses_.push_back({segment.physical(),
+                                     trace::IoType::Write});
             }
         }
         panicIf(segments_[victim].live != 0,
                 "FiniteLogStructuredLayer: victim still live after "
                 "cleaning");
         segments_[victim].free = true;
+        ++freeCount_;
         ++cleanings_;
         if (journal_ != nullptr) {
             // Cleaning re-appends went to the cold stream; record
@@ -367,7 +388,7 @@ FiniteLogStructuredLayer::maintenance()
                              packAux(victim, coldStream()), {});
         }
     }
-    return accesses;
+    return accesses_;
 }
 
 MountStats
@@ -377,7 +398,7 @@ FiniteLogStructuredLayer::mountFromJournal(
     const telemetry::ScopedTimer timer(
         &telemetry::Registry::global().histogram(
             "mount_latency_ns"));
-    panicIf(!map_.empty() || !reverse_.empty(),
+    panicIf(!map_.empty() || tick_ != 0,
             "FiniteLogStructuredLayer: mount on a non-fresh layer");
     const JournalScan scan = scanJournal(journal.image());
     for (const JournalRecord &record : scan.records) {
@@ -388,18 +409,9 @@ FiniteLogStructuredLayer::mountFromJournal(
                 displacedScratch_.clear();
                 map_.mapRange(entry.lba, entry.pba, entry.count,
                               &displacedScratch_);
-                for (const auto &dead : displacedScratch_) {
-                    adjustLive(dead, false);
-                    removeReverse(dead);
-                }
-                reverse_.emplace(
-                    entry.pba,
-                    std::make_pair(entry.lba, entry.count));
-                adjustLive({entry.pba, entry.count}, true);
-                // Append never splits an entry across segments.
-                const std::uint32_t seg = segmentOf(entry.pba);
-                segments_[seg].free = false;
-                segments_[seg].lastWrite = tick_;
+                for (const auto &dead : displacedScratch_)
+                    removeLive(dead);
+                addLive(entry.pba, entry.lba, entry.count);
             }
             const auto open =
                 static_cast<std::uint32_t>(record.aux);
@@ -411,8 +423,8 @@ FiniteLogStructuredLayer::mountFromJournal(
             panicIf(open >= segments_.size(),
                     "FiniteLogStructuredLayer: journal opens a "
                     "segment beyond the log");
-            segments_[open].free = false;
-            streams_[sid] = {open, record.frontierAfter, true};
+            claimSegment(open);
+            setStream(sid, open, record.frontierAfter);
             break;
         }
         case JournalRecordKind::SegmentReset: {
@@ -429,7 +441,10 @@ FiniteLogStructuredLayer::mountFromJournal(
             panicIf(segments_[victim].live != 0,
                     "FiniteLogStructuredLayer: journal reclaims a "
                     "live segment");
-            segments_[victim].free = true;
+            if (!segments_[victim].free) {
+                segments_[victim].free = true;
+                ++freeCount_;
+            }
             // The reset's frontier belongs to the cleaning stream;
             // a logStart_ record while the stream is still closed
             // means the victim was fully dead and nothing moved.

@@ -25,10 +25,8 @@
 #define LOGSEEK_STL_FINITE_LOG_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "stl/extent_map.h"
@@ -64,8 +62,7 @@ struct FiniteLogConfig
  * and is never cleaned, matching the paper's placement for data
  * written before trace collection began.
  */
-class FiniteLogStructuredLayer : public TranslationLayer,
-                                 public gc::SegmentStateView
+class FiniteLogStructuredLayer : public TranslationLayer
 {
   public:
     /**
@@ -95,11 +92,11 @@ class FiniteLogStructuredLayer : public TranslationLayer,
 
     /**
      * Replays Placement epochs through the same displaced-range
-     * bookkeeping as live appends (forward map, reverse map,
-     * per-segment liveness, free flags) and SegmentReset epochs as
-     * victim reclaims, then adopts each stream's recorded write
-     * pointer and open segment (the owning stream rides in the aux
-     * word's high half). A crash between a cleaning pass's
+     * bookkeeping as live appends (forward map, reverse index,
+     * per-segment liveness, free and open flags) and SegmentReset
+     * epochs as victim reclaims, then adopts each stream's recorded
+     * write pointer and open segment (the owning stream rides in
+     * the aux word's high half). A crash between a cleaning pass's
      * re-appends and its SegmentReset recovers to a consistent
      * mid-clean state: the moved extents are live at their new home
      * and the victim is simply not yet free.
@@ -108,13 +105,13 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     mountFromJournal(const SegmentJournal &journal) override;
 
     /**
-     * Garbage collection: runs while the policy's hysteresis says
-     * to (by default, free segments at or below the reserve until
-     * the target is restored), returning the cleaning
-     * reads/rewrites. fatal() if the log is overcommitted (no
+     * Garbage collection: once the free segments fall to the
+     * reserve, reclaims the policy's victims until the target is
+     * restored, returning the cleaning reads/rewrites (valid until
+     * the next call). fatal() if the log is overcommitted (no
      * cleanable victim can make progress).
      */
-    std::vector<MediaAccess> maintenance() override;
+    const std::vector<MediaAccess> &maintenance() override;
 
     /** Defragmentation support: rewrite a range at the frontier. */
     std::vector<Segment>
@@ -151,24 +148,20 @@ class FiniteLogStructuredLayer : public TranslationLayer,
         return gcVictimSpanBytes_;
     }
 
-    /** Number of segments currently free. */
-    std::uint32_t freeSegments() const;
+    /** Number of segments currently free (kept incrementally). */
+    std::uint32_t freeSegments() const { return freeCount_; }
 
     /** Total segments in the log region. */
-    std::uint32_t segmentCount() const override
+    std::uint32_t segmentCount() const
     {
         return static_cast<std::uint32_t>(segments_.size());
     }
 
     /** Sectors per segment. */
-    SectorCount segmentSectors() const override
-    {
-        return segmentSectors_;
-    }
+    SectorCount segmentSectors() const { return segmentSectors_; }
 
     /** True when segment i is on the free list. */
-    bool
-    segmentFree(std::uint32_t i) const override
+    bool segmentFree(std::uint32_t i) const
     {
         return segments_[i].free;
     }
@@ -177,20 +170,22 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     SectorCount liveSectors() const { return map_.mappedSectors(); }
 
     /** Live sectors in segment i (tests/diagnostics). */
-    SectorCount segmentLive(std::uint32_t i) const override;
+    SectorCount segmentLive(std::uint32_t i) const;
 
-    /** True when segment i is some stream's open segment. */
-    bool segmentOpen(std::uint32_t i) const override;
+    /** True when segment i is flagged as some stream's open one. */
+    bool segmentOpen(std::uint32_t i) const
+    {
+        return segments_[i].open;
+    }
 
     /** Logical tick of the last write into segment i. */
-    std::uint64_t
-    segmentLastWrite(std::uint32_t i) const override
+    std::uint64_t segmentLastWrite(std::uint32_t i) const
     {
         return segments_[i].lastWrite;
     }
 
     /** Current logical tick (one per append). */
-    std::uint64_t now() const override { return tick_; }
+    std::uint64_t now() const { return tick_; }
 
     /** The active cleaning policy. */
     const gc::CleaningPolicy &policy() const { return *policy_; }
@@ -235,21 +230,29 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     /** Forward map (read-only; Fsck and diagnostics). */
     const ExtentMap &extentMap() const { return map_; }
 
-    /** Reverse map (read-only; Fsck and diagnostics). */
-    const std::map<Pba, std::pair<Lba, SectorCount>> &
-    reverseMap() const
+    /**
+     * Visit every reverse (pba -> lba) entry in ascending pba order
+     * as fn(pba, lba, count) (Fsck and diagnostics).
+     */
+    template <typename Fn>
+    void
+    forEachReverse(Fn &&fn) const
     {
-        return reverse_;
+        for (const auto &entries : reverse_)
+            for (const ReverseEntry &entry : entries)
+                fn(entry.pba, entry.lba, entry.count);
     }
 
   private:
-    struct SegmentState
-    {
-        SectorCount live = 0;
-        bool free = true;
+    /** Lets Fsck tests seed counter drift the layer never makes. */
+    friend struct FiniteLogTestPeer;
 
-        /** Logical tick of the last write (0 = never written). */
-        std::uint64_t lastWrite = 0;
+    /** One reverse-index entry: count sectors of lba live at pba. */
+    struct ReverseEntry
+    {
+        Pba pba = 0;
+        Lba lba = 0;
+        SectorCount count = 0;
     };
 
     struct StreamState
@@ -271,13 +274,40 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     /** Segment index of a log sector. */
     std::uint32_t segmentOf(Pba pba) const;
 
-    /** Adjust per-segment liveness for a physical range. */
-    void adjustLive(const SectorExtent &range, bool add);
+    /** First sector of segment seg (seg == segmentCount() gives one
+     *  past the log). */
+    Pba
+    segmentStart(std::uint64_t seg) const
+    {
+        return logStart_ + seg * segmentSectors_;
+    }
 
-    /** Remove a physical range from the reverse (pba->lba) map. */
-    void removeReverse(const SectorExtent &range);
+    /**
+     * count sectors of lba became live at pba: add them to the
+     * reverse index (in pba order) and to the liveness of each
+     * segment they cover, which leaves the free list and takes the
+     * current tick as its last write.
+     */
+    void addLive(Pba pba, Lba lba, SectorCount count);
 
-    /** Open a free segment for stream sid; fatal if none. */
+    /**
+     * A physical range was displaced from the forward map: drop its
+     * liveness and cut it out of the reverse index, segment by
+     * segment, splitting or erasing entries in place.
+     */
+    void removeLive(const SectorExtent &range);
+
+    /** True when segment seg holds a reverse entry keyed at pba. */
+    bool reverseHas(std::uint32_t seg, Pba pba) const;
+
+    /** Take segment i off the free list (no-op when not free). */
+    void claimSegment(std::uint32_t i);
+
+    /** Point stream sid at segment open, moving the open flag. */
+    void setStream(std::uint32_t sid, std::uint32_t open, Pba ptr);
+
+    /** Open the lowest-index free segment for stream sid; fatal if
+     *  none. */
     void openFreeSegment(std::uint32_t sid);
 
     /**
@@ -292,13 +322,22 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     FiniteLogConfig config_;
     Pba logStart_;
     SectorCount segmentSectors_;
-    std::vector<SegmentState> segments_;
+
+    /** Per-segment state; also the policies' SegmentStateView. */
+    std::vector<gc::SegmentSummary> segments_;
+
+    /** Segments with free set, kept in step with segments_. */
+    std::uint32_t freeCount_ = 0;
 
     /** Forward map: lba -> log pba. */
     ExtentMap map_;
 
-    /** Reverse map: log pba -> (lba, count); entries disjoint. */
-    std::map<Pba, std::pair<Lba, SectorCount>> reverse_;
+    /**
+     * Reverse index, one vector per segment: log pba -> (lba,
+     * count), disjoint and sorted by pba. An entry never straddles
+     * a segment, because append splits at segment ends.
+     */
+    std::vector<std::vector<ReverseEntry>> reverse_;
 
     std::vector<StreamState> streams_;
     std::uint64_t cleanings_ = 0;
@@ -306,17 +345,21 @@ class FiniteLogStructuredLayer : public TranslationLayer,
     std::uint64_t gcVictimLiveBytes_ = 0;
     std::uint64_t gcVictimSpanBytes_ = 0;
 
-    /** Victim selector + hysteresis; never null. */
+    /** Victim selector; never null. */
     std::unique_ptr<gc::CleaningPolicy> policy_;
 
     /** Host-write classifier; engaged only when streams > 1. */
     std::optional<gc::StreamRouter> router_;
 
-    /** Reusable scratches: displaced ranges from mapRange and the
-     *  per-entry placements during cleaning. clear() keeps their
-     *  capacity, so steady-state appends do not allocate. */
+    /** Reusable scratches: displaced ranges from mapRange, the
+     *  per-entry placements during cleaning, the victim's reverse
+     *  entries and maintenance()'s accesses. clear() keeps their
+     *  capacity, so steady-state appends and cleaning passes do not
+     *  allocate. */
     std::vector<SectorExtent> displacedScratch_;
     SegmentBuffer cleanScratch_;
+    std::vector<ReverseEntry> victimScratch_;
+    std::vector<MediaAccess> accesses_;
 
     /** Durable metadata journal; null = volatile (the default). */
     SegmentJournal *journal_ = nullptr;

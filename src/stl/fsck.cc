@@ -314,12 +314,12 @@ checkFiniteLog(const FiniteLogStructuredLayer &layer,
                    std::to_string(
                        layer.extentMap().mappedSectors()));
 
-    // Forward/reverse bijection: the reverse map, re-sorted by LBA,
-    // must describe exactly the forward map.
+    // Forward/reverse bijection: the reverse index, re-sorted by
+    // LBA, must describe exactly the forward map.
     std::vector<JournalEntry> from_reverse;
-    from_reverse.reserve(layer.reverseMap().size());
-    for (const auto &[pba, entry] : layer.reverseMap())
-        from_reverse.push_back({entry.first, pba, entry.second});
+    layer.forEachReverse([&](Pba pba, Lba lba, SectorCount count) {
+        from_reverse.push_back({lba, pba, count});
+    });
     std::sort(from_reverse.begin(), from_reverse.end(),
               [](const JournalEntry &a, const JournalEntry &b) {
                   return a.lba < b.lba;
@@ -332,9 +332,9 @@ checkFiniteLog(const FiniteLogStructuredLayer &layer,
     // reverse-resident sectors in that segment, and free segments
     // must hold no live data.
     std::vector<SectorCount> live(layer.segmentCount(), 0);
-    for (const auto &[pba, entry] : layer.reverseMap()) {
+    layer.forEachReverse([&](Pba pba, Lba, SectorCount count) {
         Pba cursor = pba;
-        const Pba end = pba + entry.second;
+        const Pba end = pba + count;
         while (cursor < end) {
             const auto seg = static_cast<std::uint32_t>(
                 (cursor - layer.logStart()) /
@@ -347,13 +347,13 @@ checkFiniteLog(const FiniteLogStructuredLayer &layer,
             live[seg] += piece_end - cursor;
             cursor = piece_end;
         }
-    }
+    });
     for (std::uint32_t i = 0; i < layer.segmentCount(); ++i) {
         if (layer.segmentLive(i) != live[i])
             report(out, "liveness-accounting",
                    "segment " + std::to_string(i) + " counts " +
                        std::to_string(layer.segmentLive(i)) +
-                       " live sectors, reverse map holds " +
+                       " live sectors, reverse index holds " +
                        std::to_string(live[i]));
         if (layer.segmentFree(i) && layer.segmentLive(i) != 0)
             report(out, "free-segment-live",
@@ -361,6 +361,34 @@ checkFiniteLog(const FiniteLogStructuredLayer &layer,
                        " still counts " +
                        std::to_string(layer.segmentLive(i)) +
                        " live sectors");
+    }
+
+    // Incremental counters: the free count must match a scan of
+    // the free flags, and the open flags must sit exactly on the
+    // opened streams' open segments.
+    std::uint32_t free_scan = 0;
+    for (std::uint32_t i = 0; i < layer.segmentCount(); ++i)
+        free_scan += layer.segmentFree(i) ? 1U : 0U;
+    if (layer.freeSegments() != free_scan)
+        report(out, "free-count",
+               "layer counts " +
+                   std::to_string(layer.freeSegments()) +
+                   " free segments, free flags mark " +
+                   std::to_string(free_scan));
+    std::vector<bool> open(layer.segmentCount(), false);
+    for (std::uint32_t sid = 0; sid < layer.streamCount(); ++sid) {
+        if (layer.streamOpened(sid) &&
+            layer.streamOpenSegment(sid) < open.size())
+            open[layer.streamOpenSegment(sid)] = true;
+    }
+    for (std::uint32_t i = 0; i < layer.segmentCount(); ++i) {
+        if (layer.segmentOpen(i) != open[i])
+            report(out, "open-flag",
+                   "segment " + std::to_string(i) +
+                       (open[i] ? " is a stream's open segment but "
+                                  "not flagged open"
+                                : " is flagged open but no stream "
+                                  "has it open"));
     }
 }
 

@@ -3,11 +3,12 @@
  * Pluggable garbage-collection policies for the finite log.
  *
  * The finite log's cleaner has two decisions: *when* to clean
- * (trigger/target hysteresis over the free-segment count) and
- * *which* closed segment to reclaim. Both live behind
- * CleaningPolicy so the layer's mechanics — moving live extents to
- * the frontier, journaling the reclaim, liveness bookkeeping — stay
- * in one place while the selection economics vary:
+ * (fixed trigger/target hysteresis over the free-segment count,
+ * owned by the layer) and *which* closed segment to reclaim. The
+ * second lives behind CleaningPolicy so the layer's mechanics —
+ * moving live extents to the frontier, journaling the reclaim,
+ * liveness bookkeeping — stay in one place while the selection
+ * economics vary:
  *
  *  - greedy: the segment with the least live data, the layer's
  *    historical behaviour, pinned byte-identical by a differential
@@ -20,9 +21,10 @@
  *    one per live extent), rewrites the live data at the frontier
  *    and resets the zone.
  *
- * Policies are pure selectors over a read-only SegmentStateView;
- * they mutate nothing and draw no entropy, so every replay remains
- * byte-identical across jobs and checkpoint/resume.
+ * Policies are pure selectors over a read-only SegmentStateView, a
+ * plain span of per-segment summaries; they mutate nothing and draw
+ * no entropy, so every replay remains byte-identical across jobs
+ * and checkpoint/resume.
  */
 
 #ifndef LOGSEEK_STL_GC_CLEANING_POLICY_H
@@ -31,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "stl/gc/stream_router.h"
 #include "util/units.h"
@@ -63,54 +66,42 @@ struct GcConfig
     StreamRouterConfig router;
 };
 
-/**
- * Read-only view of the log's per-segment state a policy selects
- * victims from. Ticks are a logical clock advanced once per append,
- * giving age without wall time.
- */
-class SegmentStateView
+/** One segment's state as the cleaning policies see it. */
+struct SegmentSummary
 {
-  public:
-    virtual ~SegmentStateView() = default;
+    /** Live (mapped) sectors in the segment. */
+    SectorCount live = 0;
 
-    virtual std::uint32_t segmentCount() const = 0;
-    virtual SectorCount segmentSectors() const = 0;
-    virtual SectorCount segmentLive(std::uint32_t i) const = 0;
-    virtual bool segmentFree(std::uint32_t i) const = 0;
+    /** Logical tick of the last write (0 = never written). */
+    std::uint64_t lastWrite = 0;
 
-    /** True when i is some stream's open segment (never a victim). */
-    virtual bool segmentOpen(std::uint32_t i) const = 0;
+    /** On the free list. */
+    bool free = true;
 
-    /** Logical tick of the last write into i (0 = never written). */
-    virtual std::uint64_t segmentLastWrite(std::uint32_t i) const = 0;
-
-    /** Current logical tick. */
-    virtual std::uint64_t now() const = 0;
+    /** Some stream's open segment (never a victim). */
+    bool open = false;
 };
 
-/** The victim-selection + hysteresis interface. */
+/**
+ * Read-only view of the log's per-segment state a policy selects
+ * victims from: the segments in index order plus the segment size
+ * and the current logical tick. Ticks are a logical clock advanced
+ * once per append, giving age without wall time.
+ */
+struct SegmentStateView
+{
+    std::span<const SegmentSummary> segments;
+    SectorCount segmentSectors = 0;
+    std::uint64_t now = 0;
+};
+
+/** The victim-selection interface. */
 class CleaningPolicy
 {
   public:
     virtual ~CleaningPolicy() = default;
 
     virtual const char *name() const = 0;
-
-    /** Hysteresis trigger: should a cleaning pass start? */
-    virtual bool
-    startCleaning(std::uint32_t free_segments,
-                  std::uint32_t reserve_segments) const
-    {
-        return free_segments <= reserve_segments;
-    }
-
-    /** Hysteresis target: should the running pass keep reclaiming? */
-    virtual bool
-    continueCleaning(std::uint32_t free_segments,
-                     std::uint32_t target_segments) const
-    {
-        return free_segments < target_segments;
-    }
 
     /**
      * Pick the next victim, or nullopt when no closed segment can

@@ -71,11 +71,12 @@ MediaCacheLayer::needsMerge() const
                static_cast<double>(cacheCapacity_);
 }
 
-std::vector<MediaAccess>
+const std::vector<MediaAccess> &
 MediaCacheLayer::maintenance()
 {
+    accesses_.clear();
     if (!needsMerge())
-        return {};
+        return accesses_;
 
     // Collect the dirty bands and, per band, the cache fragments
     // that must be folded back, in physical order.
@@ -93,7 +94,6 @@ MediaCacheLayer::maintenance()
         }
     });
 
-    std::vector<MediaAccess> accesses;
     for (auto &[band, fragments] : bands) {
         const Lba band_start = band * bandSectors_;
         const SectorCount band_count = std::min<SectorCount>(
@@ -102,7 +102,7 @@ MediaCacheLayer::maintenance()
 
         // Read-modify-write: old band contents, then the cache
         // fragments (coalesced, in cache order), then the rewrite.
-        accesses.push_back({band_extent, trace::IoType::Read});
+        accesses_.push_back({band_extent, trace::IoType::Read});
         std::sort(fragments.begin(), fragments.end(),
                   [](const SectorExtent &a, const SectorExtent &b) {
                       return a.start < b.start;
@@ -115,12 +115,12 @@ MediaCacheLayer::maintenance()
                 continue;
             }
             if (!pending.empty())
-                accesses.push_back({pending, trace::IoType::Read});
+                accesses_.push_back({pending, trace::IoType::Read});
             pending = fragment;
         }
         if (!pending.empty())
-            accesses.push_back({pending, trace::IoType::Read});
-        accesses.push_back({band_extent, trace::IoType::Write});
+            accesses_.push_back({pending, trace::IoType::Read});
+        accesses_.push_back({band_extent, trace::IoType::Write});
     }
 
     // Everything is back in LBA order: drop the whole map and
@@ -132,7 +132,7 @@ MediaCacheLayer::maintenance()
     if (journal_ != nullptr)
         journal_->record(JournalRecordKind::MergeReset, cachePtr_,
                          merges_, {});
-    return accesses;
+    return accesses_;
 }
 
 MountStats

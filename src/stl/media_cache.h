@@ -20,6 +20,7 @@
 #define LOGSEEK_STL_MEDIA_CACHE_H
 
 #include <cstdint>
+#include <vector>
 
 #include "stl/extent_map.h"
 #include "stl/translation_layer.h"
@@ -91,8 +92,9 @@ class MediaCacheLayer : public TranslationLayer
      * is past its threshold this returns the full merge's media
      * accesses (band reads, cache-fragment reads, band writes, in
      * ascending band order) and resets the cache. Empty otherwise.
+     * The buffer stays valid until the next call.
      */
-    std::vector<MediaAccess> maintenance() override;
+    const std::vector<MediaAccess> &maintenance() override;
 
     /** Sectors currently dirty in the media cache. */
     SectorCount cacheUsedSectors() const { return cacheUsed_; }
@@ -129,6 +131,9 @@ class MediaCacheLayer : public TranslationLayer
     Pba cachePtr_;
     SectorCount cacheUsed_ = 0;
     std::uint64_t merges_ = 0;
+
+    /** maintenance()'s reusable result buffer. */
+    std::vector<MediaAccess> accesses_;
 
     /** Durable metadata journal; null = volatile (the default). */
     SegmentJournal *journal_ = nullptr;

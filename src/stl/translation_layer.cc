@@ -32,6 +32,13 @@ TranslationLayer::mountFromJournal(const SegmentJournal &journal)
     return stats;
 }
 
+const std::vector<MediaAccess> &
+TranslationLayer::maintenance()
+{
+    static const std::vector<MediaAccess> kNone;
+    return kNone;
+}
+
 std::vector<Segment>
 TranslationLayer::translateRead(const SectorExtent &extent) const
 {

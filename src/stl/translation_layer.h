@@ -88,9 +88,11 @@ class TranslationLayer
     /**
      * Background work owed after the last request (cleaning /
      * merging). Called by the simulator once per host request;
-     * layers without background work return nothing.
+     * layers without background work return nothing. The returned
+     * buffer is owned by the layer and stays valid until the next
+     * maintenance() call, so steady state allocates nothing.
      */
-    virtual std::vector<MediaAccess> maintenance() { return {}; }
+    virtual const std::vector<MediaAccess> &maintenance();
 
     /**
      * Attach the durable metadata journal: from now on every

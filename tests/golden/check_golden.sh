@@ -17,6 +17,11 @@
 #          (compare_translation_layers.json)
 #   gc     gc_ablation 0.002 --jobs 1: the JSON report
 #          (gc_ablation.json; it has no timing fields)
+#   cleaning cleaning_interaction 0.002 --jobs 1: the stdout table
+#          (cleaning_interaction.txt) and the JSON report with its
+#          timing fields stripped (cleaning_interaction.json); the
+#          only harness that drives finite-log relocation (defrag)
+#          and cleaning under all three policies
 #
 # Usage:
 #   tests/golden/check_golden.sh fig11 <fig11_saf binary> <work dir>
@@ -24,6 +29,7 @@
 #   tests/golden/check_golden.sh device <device_fault_sweep binary> <work dir>
 #   tests/golden/check_golden.sh layers <compare_translation_layers binary> <work dir>
 #   tests/golden/check_golden.sh gc <gc_ablation binary> <work dir>
+#   tests/golden/check_golden.sh cleaning <cleaning_interaction binary> <work dir>
 #
 # The fresh outputs stay in the work dir. On a mismatch the script
 # names the produced file; copying it over the golden is a behaviour
@@ -32,7 +38,7 @@
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
-    echo "usage: $0 fig11|crash|device|layers|gc <binary> <work dir>" >&2
+    echo "usage: $0 fig11|crash|device|layers|gc|cleaning <binary> <work dir>" >&2
     exit 2
 fi
 mode="$1"
@@ -95,6 +101,17 @@ gc)
     "${binary}" 0.002 --jobs 1 --json="${work}/gc_ablation.json" \
         > /dev/null
     check "${golden}/gc_ablation.json" "${work}/gc_ablation.json"
+    ;;
+cleaning)
+    "${binary}" 0.002 --jobs 1 \
+        --json="${work}/cleaning_interaction.raw.json" \
+        > "${work}/cleaning_interaction.txt"
+    strip_timing "${work}/cleaning_interaction.raw.json" \
+        > "${work}/cleaning_interaction.json"
+    check "${golden}/cleaning_interaction.txt" \
+        "${work}/cleaning_interaction.txt"
+    check "${golden}/cleaning_interaction.json" \
+        "${work}/cleaning_interaction.json"
     ;;
 *)
     echo "$0: unknown mode '${mode}'" >&2

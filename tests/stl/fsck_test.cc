@@ -19,6 +19,23 @@
 
 namespace logseek::stl
 {
+
+/** Seeds counter corruption the finite log's own code never makes. */
+struct FiniteLogTestPeer
+{
+    static std::uint32_t &
+    freeCount(FiniteLogStructuredLayer &layer)
+    {
+        return layer.freeCount_;
+    }
+
+    static bool &
+    openFlag(FiniteLogStructuredLayer &layer, std::uint32_t i)
+    {
+        return layer.segments_[i].open;
+    }
+};
+
 namespace
 {
 
@@ -54,25 +71,83 @@ TEST(Fsck, CleanLogStructuredLayerPasses)
     EXPECT_GT(report.checkedEntries, 0U);
 }
 
-TEST(Fsck, CleanFiniteLogPassesThroughCleaning)
+/**
+ * Overwrite a hot region of a small finite log until segments are
+ * reclaimed, so the cleaning-count and free-segment invariants see
+ * real work.
+ */
+void
+churnFiniteLog(FiniteLogStructuredLayer &layer)
 {
-    FiniteLogConfig config;
-    config.capacityBytes = kMiB;
-    config.segmentBytes = 128 * kKiB;
-    SegmentJournal journal;
-    FiniteLogStructuredLayer layer(kEnd, config);
-    layer.attachJournal(&journal);
-    // Overwrite a hot region until segments are reclaimed, so the
-    // cleaning-count and free-segment invariants see real work.
     for (int round = 0; round < 8; ++round)
         for (Lba lba = 0; lba < 1000; lba += 50) {
             layer.placeWrite({lba, 40});
             drainMaintenance(layer);
         }
+}
+
+FiniteLogConfig
+smallFiniteLog()
+{
+    FiniteLogConfig config;
+    config.capacityBytes = kMiB;
+    config.segmentBytes = 128 * kKiB;
+    return config;
+}
+
+TEST(Fsck, CleanFiniteLogPassesThroughCleaning)
+{
+    SegmentJournal journal;
+    FiniteLogStructuredLayer layer(kEnd, smallFiniteLog());
+    layer.attachJournal(&journal);
+    churnFiniteLog(layer);
     EXPECT_GT(layer.cleanings(), 0U);
 
     const FsckReport report = Fsck::check(layer, journal);
     EXPECT_TRUE(report.ok()) << report.toString();
+}
+
+TEST(Fsck, DetectsFreeCountDrift)
+{
+    SegmentJournal journal;
+    FiniteLogStructuredLayer layer(kEnd, smallFiniteLog());
+    layer.attachJournal(&journal);
+    churnFiniteLog(layer);
+    ASSERT_TRUE(Fsck::check(layer, journal).ok());
+
+    // The incremental count drifts from the flags it summarises.
+    ++FiniteLogTestPeer::freeCount(layer);
+    const FsckReport report = Fsck::check(layer, journal);
+    ASSERT_FALSE(report.ok());
+    EXPECT_TRUE(hasViolation(report, "free-count"))
+        << report.toString();
+}
+
+TEST(Fsck, DetectsOpenFlagDrift)
+{
+    SegmentJournal journal;
+    FiniteLogStructuredLayer layer(kEnd, smallFiniteLog());
+    layer.attachJournal(&journal);
+    churnFiniteLog(layer);
+    ASSERT_TRUE(Fsck::check(layer, journal).ok());
+
+    // The open segment loses its flag...
+    const std::uint32_t open = layer.streamOpenSegment(0);
+    FiniteLogTestPeer::openFlag(layer, open) = false;
+    FsckReport report = Fsck::check(layer, journal);
+    ASSERT_FALSE(report.ok());
+    EXPECT_TRUE(hasViolation(report, "open-flag"))
+        << report.toString();
+
+    // ...or a closed one gains it (which would hide it from the
+    // cleaner for good).
+    FiniteLogTestPeer::openFlag(layer, open) = true;
+    const std::uint32_t closed = (open + 1) % layer.segmentCount();
+    FiniteLogTestPeer::openFlag(layer, closed) = true;
+    report = Fsck::check(layer, journal);
+    ASSERT_FALSE(report.ok());
+    EXPECT_TRUE(hasViolation(report, "open-flag"))
+        << report.toString();
 }
 
 TEST(Fsck, CleanMediaCachePassesThroughMerge)

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "stl/finite_log.h"
+#include "stl/fsck.h"
 #include "stl/gc/cleaning_policy.h"
 #include "stl/gc/stream_router.h"
 #include "stl/simulator.h"
@@ -43,6 +45,19 @@ std::vector<Segment>
 toVector(const SegmentBuffer &buffer)
 {
     return {buffer.begin(), buffer.end()};
+}
+
+using ReverseEntries = std::vector<std::tuple<Pba, Lba, SectorCount>>;
+
+/** The layer's reverse index, flattened in pba order. */
+ReverseEntries
+reverseEntries(const FiniteLogStructuredLayer &layer)
+{
+    ReverseEntries entries;
+    layer.forEachReverse([&](Pba pba, Lba lba, SectorCount count) {
+        entries.emplace_back(pba, lba, count);
+    });
+    return entries;
 }
 
 void
@@ -76,6 +91,20 @@ TEST(GcPolicy, GreedyMatchesReferenceOnRandomizedChurn)
         EXPECT_EQ(placed, reference.placeWrite({lba, count}));
         expectSameAccesses(layer.maintenance(),
                            reference.maintenance());
+
+        // The incremental bookkeeping must match the reference's
+        // map and scans after every op, not just at the end.
+        ReverseEntries want;
+        for (const auto &[pba, entry] : reference.reverseMap())
+            want.emplace_back(pba, entry.first, entry.second);
+        ASSERT_EQ(reverseEntries(layer), want) << "op " << op;
+        ASSERT_EQ(layer.freeSegments(), reference.freeSegments())
+            << "op " << op;
+        for (std::uint32_t i = 0; i < layer.segmentCount(); ++i) {
+            ASSERT_EQ(layer.segmentOpen(i),
+                      i == reference.openSegment())
+                << "op " << op << " segment " << i;
+        }
     }
     EXPECT_GT(layer.cleanings(), 0U);
     EXPECT_EQ(layer.cleanings(), reference.cleanings());
@@ -111,66 +140,32 @@ TEST(GcPolicy, FactoryNamesAreStable)
     }
 }
 
-/** Hand-built segment state for direct selector tests. */
-class FakeView : public gc::SegmentStateView
+/**
+ * Hand-built segment state for direct selector tests: segments as
+ * {live, lastWrite, free, open}.
+ */
+struct FakeView
 {
-  public:
-    struct Seg
-    {
-        SectorCount live = 0;
-        bool free = false;
-        bool open = false;
-        std::uint64_t lastWrite = 0;
-    };
+    SectorCount sectors;
+    std::uint64_t now;
+    std::vector<gc::SegmentSummary> segments;
 
-    FakeView(SectorCount sectors, std::uint64_t now,
-             std::vector<Seg> segs)
-        : sectors_(sectors), now_(now), segs_(std::move(segs))
+    operator gc::SegmentStateView() const
     {
+        return {segments, sectors, now};
     }
-
-    std::uint32_t segmentCount() const override
-    {
-        return static_cast<std::uint32_t>(segs_.size());
-    }
-    SectorCount segmentSectors() const override
-    {
-        return sectors_;
-    }
-    SectorCount segmentLive(std::uint32_t i) const override
-    {
-        return segs_[i].live;
-    }
-    bool segmentFree(std::uint32_t i) const override
-    {
-        return segs_[i].free;
-    }
-    bool segmentOpen(std::uint32_t i) const override
-    {
-        return segs_[i].open;
-    }
-    std::uint64_t segmentLastWrite(std::uint32_t i) const override
-    {
-        return segs_[i].lastWrite;
-    }
-    std::uint64_t now() const override { return now_; }
-
-  private:
-    SectorCount sectors_;
-    std::uint64_t now_;
-    std::vector<Seg> segs_;
 };
 
 TEST(GcPolicy, GreedySelectsLeastLiveClosedSegment)
 {
     const auto policy =
         gc::makeCleaningPolicy(gc::CleaningPolicyKind::Greedy);
-    const FakeView view(32, 100,
-                        {{4, false, true, 90}, // open: skipped
-                         {8, false, false, 10},
-                         {2, false, false, 99}, // least live
-                         {0, true, false, 0},   // free: skipped
-                         {2, false, false, 1}});
+    const FakeView view{32, 100,
+                        {{4, 90, false, true}, // open: skipped
+                         {8, 10, false, false},
+                         {2, 99, false, false}, // least live
+                         {0, 0, true, false},   // free: skipped
+                         {2, 1, false, false}}};
     const auto victim = policy->selectVictim(view);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(*victim, 2U); // strict <: first of the tied pair
@@ -180,10 +175,10 @@ TEST(GcPolicy, GreedyReportsNoVictimWhenAllFullyLive)
 {
     const auto policy =
         gc::makeCleaningPolicy(gc::CleaningPolicyKind::Greedy);
-    const FakeView view(32, 10,
-                        {{32, false, false, 1},
-                         {32, false, false, 2},
-                         {0, true, false, 0}});
+    const FakeView view{32, 10,
+                        {{32, 1, false, false},
+                         {32, 2, false, false},
+                         {0, 0, true, false}}};
     EXPECT_FALSE(policy->selectVictim(view).has_value());
 }
 
@@ -195,10 +190,10 @@ TEST(GcPolicy, CostBenefitPrefersAgedSegmentOverEmptierYoungOne)
     // just now; segment 2 is older with moderate utilization:
     //   seg 1: age 1,   u = 8/32:  1 * 24 / 40  = 0.6
     //   seg 2: age 100, u = 16/32: 100 * 16 / 48 ~ 33.3
-    const FakeView view(32, 100,
-                        {{4, false, true, 100},
-                         {8, false, false, 100},
-                         {16, false, false, 0}});
+    const FakeView view{32, 100,
+                        {{4, 100, false, true},
+                         {8, 100, false, false},
+                         {16, 0, false, false}}};
     const auto victim = policy->selectVictim(view);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(*victim, 2U);
@@ -208,9 +203,9 @@ TEST(GcPolicy, CostBenefitSkipsFullyLiveSegments)
 {
     const auto policy = gc::makeCleaningPolicy(
         gc::CleaningPolicyKind::CostBenefit);
-    const FakeView view(32, 50,
-                        {{32, false, false, 1},
-                         {32, false, false, 2}});
+    const FakeView view{32, 50,
+                        {{32, 1, false, false},
+                         {32, 2, false, false}}};
     EXPECT_FALSE(policy->selectVictim(view).has_value());
 }
 
@@ -219,10 +214,10 @@ TEST(GcPolicy, ZoneGranularBreaksLiveTiesTowardOlderZones)
     const auto policy = gc::makeCleaningPolicy(
         gc::CleaningPolicyKind::ZoneGranular);
     EXPECT_TRUE(policy->wholeZoneRead());
-    const FakeView view(32, 100,
-                        {{8, false, false, 90},
-                         {8, false, false, 10}, // same live, older
-                         {16, false, false, 1}});
+    const FakeView view{32, 100,
+                        {{8, 90, false, false},
+                         {8, 10, false, false}, // same live, older
+                         {16, 1, false, false}}};
     const auto victim = policy->selectVictim(view);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(*victim, 1U);
@@ -293,6 +288,54 @@ TEST(GcPolicy, MultiStreamKeepsOpenSegmentsDistinct)
         }
     }
     EXPECT_TRUE(layer.streamOpened(0));
+}
+
+TEST(GcPolicy, MountRebuildsReverseIndexAndCounters)
+{
+    // A journaled two-stream cost-benefit log under host churn and
+    // defrag-style relocations (which go to the cold stream), then
+    // a fresh layer mounted from the journal: the reverse index,
+    // free count and open flags must come back exactly.
+    FiniteLogConfig config = tinyConfig();
+    config.capacityBytes = 16 * 32 * kSectorBytes;
+    config.gc.policy = gc::CleaningPolicyKind::CostBenefit;
+    config.gc.streams = 2;
+    const Lba space = 192;
+    SegmentJournal journal;
+    FiniteLogStructuredLayer layer(space, config);
+    layer.attachJournal(&journal);
+
+    Rng rng(31);
+    SegmentBuffer scratch;
+    for (int op = 0; op < 3000; ++op) {
+        const SectorCount count = 1 + rng.nextUint(8);
+        const Lba lba = rng.nextUint(space - count);
+        if (op % 5 == 4)
+            layer.relocateInto({lba, count}, scratch);
+        else
+            layer.placeWriteInto({lba, count}, scratch);
+        layer.maintenance();
+    }
+    ASSERT_GT(layer.cleanings(), 0U);
+    ASSERT_TRUE(layer.streamOpened(1));
+
+    FiniteLogStructuredLayer mounted(space, config);
+    mounted.mountFromJournal(journal);
+    EXPECT_EQ(reverseEntries(mounted), reverseEntries(layer));
+    EXPECT_EQ(mounted.freeSegments(), layer.freeSegments());
+    for (std::uint32_t i = 0; i < layer.segmentCount(); ++i) {
+        EXPECT_EQ(mounted.segmentOpen(i), layer.segmentOpen(i))
+            << "segment " << i;
+        EXPECT_EQ(mounted.segmentFree(i), layer.segmentFree(i))
+            << "segment " << i;
+        EXPECT_EQ(mounted.segmentLive(i), layer.segmentLive(i))
+            << "segment " << i;
+        EXPECT_EQ(mounted.segmentLastWrite(i),
+                  layer.segmentLastWrite(i))
+            << "segment " << i;
+    }
+    const FsckReport report = Fsck::check(mounted, journal);
+    EXPECT_TRUE(report.ok()) << report.toString();
 }
 
 TEST(GcPolicy, VictimStatsAccumulatePerReclaim)
