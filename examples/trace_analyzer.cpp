@@ -3,18 +3,18 @@
  * Example: a command-line analyzer for real block traces in the MSR
  * Cambridge CSV format — the pipeline the paper runs on its traces,
  * usable unchanged on the public MSR files
- * ("timestamp,host,disk,Read|Write,offset,bytes,latency").
+ * ("timestamp,host,disk,Read|Write,offset,bytes,latency") — or in
+ * the columnar LSKC format (bench/trace_convert writes it).
  *
  * Prints Table-I style characteristics, mis-ordered write fraction
  * (Fig. 8), NoLS/LS seek counts (Fig. 2), fragmentation statistics
  * (Fig. 5) and the SAF of every mechanism (Fig. 11) for the trace.
  *
  * Usage:
- *   trace_analyzer <trace.csv|trace.lskt> [disk_number]
+ *   trace_analyzer <trace.csv|trace.lskc> [disk_number]
  *   trace_analyzer --demo              analyze a built-in workload
- *   trace_analyzer --convert <in.csv> <out.lskt>
- *                                      re-encode CSV as the compact
- *                                      LSKT binary format
+ *
+ * The disk filter applies to CSV input only.
  */
 
 #include <cstdlib>
@@ -25,8 +25,7 @@
 #include "analysis/observers.h"
 #include "analysis/report.h"
 #include "stl/simulator.h"
-#include "trace/binary.h"
-#include "trace/msr_csv.h"
+#include "trace/convert.h"
 #include "trace/stats.h"
 #include "util/logging.h"
 #include "workloads/profiles.h"
@@ -132,9 +131,8 @@ int
 main(int argc, char **argv)
 {
     if (argc < 2) {
-        std::cerr << "usage: trace_analyzer <trace.csv|.lskt> "
-                     "[disk_number] | --demo | --convert <in> "
-                     "<out>\n";
+        std::cerr << "usage: trace_analyzer <trace.csv|.lskc> "
+                     "[disk_number] | --demo\n";
         return 1;
     }
 
@@ -144,31 +142,15 @@ main(int argc, char **argv)
             analyze(workloads::makeWorkload("w95"));
             return 0;
         }
-        if (arg == "--convert") {
-            if (argc < 4) {
-                std::cerr << "usage: trace_analyzer --convert "
-                             "<in.csv> <out.lskt>\n";
-                return 1;
-            }
-            trace::MsrCsvOptions csv_options;
-            csv_options.skipMalformed = true;
-            const trace::Trace trace = trace::parseMsrCsvFile(
-                argv[2], argv[2], csv_options);
-            trace::writeBinaryTraceFile(argv[3], trace);
-            std::cout << "wrote " << trace.size() << " records to "
-                      << argv[3] << "\n";
-            return 0;
-        }
-        if (arg.size() > 5 &&
-            arg.substr(arg.size() - 5) == ".lskt") {
-            analyze(trace::readBinaryTraceFile(arg));
-            return 0;
-        }
         trace::MsrCsvOptions options;
         options.skipMalformed = true;
         if (argc > 2)
             options.diskFilter = std::atoi(argv[2]);
-        analyze(trace::parseMsrCsvFile(arg, arg, options));
+        StatusOr<trace::Trace> loaded = trace::tryLoadTraceFile(
+            arg, trace::TraceFormat::Auto, arg, options);
+        if (!loaded.ok())
+            loaded.status().orFatal();
+        analyze(loaded.value());
     } catch (const logseek::FatalError &error) {
         std::cerr << "error: " << error.what() << "\n";
         return 1;

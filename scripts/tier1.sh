@@ -24,13 +24,14 @@
 # regression. A golden leg then runs fig11_saf 0.002 --jobs 1,
 # crash_recovery_bench, device_fault_sweep 0.002
 # --fault-rate=0.01 --jobs 1 and compare_translation_layers 0.002
-# --jobs 1 through tests/golden/check_golden.sh and diffs their
-# deterministic output (the Figure 11 table, the crash-matrix
-# summary, the device fault table, the translation-layer table, the
+# --jobs 1 and the paper-figure harnesses (table1_workloads and
+# fig2/3/4/5/7/8/10 at 0.002 --jobs 1) through
+# tests/golden/check_golden.sh and diffs their deterministic output
+# (the Figure 11 table, the crash-matrix summary, the device fault
+# table, the translation-layer table, the paper-figure tables, the
 # JSON reports with timing fields stripped) byte for byte against
-# the goldens
-# checked in under tests/golden/ — an absolute check, so a change
-# that moves every cell the same way still fails.
+# the goldens checked in under tests/golden/ — an absolute check,
+# so a change that moves every cell the same way still fails.
 #
 # The extra mode `fault-smoke` builds device_fault_sweep under the
 # asan preset and runs the fault matrix at small scale with an
@@ -110,9 +111,13 @@ run_bench_smoke() {
     # Golden diff: the paper harnesses end-to-end through the real
     # CLI, compared byte for byte with the checked-in goldens
     # (timing fields stripped).
+    local paper=(table1_workloads fig2_seek_counts fig3_seek_timeseries
+                 fig4_access_distance fig5_fragmented_reads
+                 fig7_write_patterns fig8_misordered
+                 fig10_fragment_popularity)
     cmake --build --preset default -j "${JOBS}" \
         --target fig11_saf crash_recovery_bench device_fault_sweep \
-        compare_translation_layers
+        compare_translation_layers "${paper[@]}"
     tests/golden/check_golden.sh fig11 build/bench/fig11_saf \
         "${SCRATCH}/golden"
     tests/golden/check_golden.sh crash \
@@ -121,6 +126,11 @@ run_bench_smoke() {
         build/bench/device_fault_sweep "${SCRATCH}/golden"
     tests/golden/check_golden.sh layers \
         build/bench/compare_translation_layers "${SCRATCH}/golden"
+    local harness
+    for harness in "${paper[@]}"; do
+        tests/golden/check_golden.sh paper "build/bench/${harness}" \
+            "${SCRATCH}/golden"
+    done
     echo "==> tier1: golden outputs byte-identical"
 }
 

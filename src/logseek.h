@@ -34,12 +34,10 @@
 #include "sweep/report.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/task_pool.h"
-#include "trace/binary.h"
 #include "trace/msr_csv.h"
 #include "trace/record.h"
 #include "trace/reorder.h"
 #include "trace/stats.h"
-#include "trace/tools.h"
 #include "trace/trace.h"
 #include "util/extent.h"
 #include "util/fault.h"

@@ -302,27 +302,6 @@ ReadPipeline::completeRead(const trace::IoRecord &record,
 }
 
 ReplayEngine::ReplayEngine(const SimConfig &config,
-                           const trace::Trace &trace,
-                           const std::vector<SimObserver *> &observers,
-                           CancelToken cancel)
-    : ReplayEngine(config,
-                   std::make_unique<trace::TraceRef>(trace),
-                   observers, std::move(cancel))
-{
-}
-
-ReplayEngine::ReplayEngine(const SimConfig &config,
-                           std::unique_ptr<trace::TraceInput> owned,
-                           const std::vector<SimObserver *> &observers,
-                           CancelToken cancel)
-    : ReplayEngine(config, *owned, observers, std::move(cancel))
-{
-    // The delegated ctor stored &*owned in input_; moving the
-    // unique_ptr into the member does not relocate the pointee.
-    ownedInput_ = std::move(owned);
-}
-
-ReplayEngine::ReplayEngine(const SimConfig &config,
                            trace::TraceInput &input,
                            const std::vector<SimObserver *> &observers,
                            CancelToken cancel)
@@ -463,6 +442,7 @@ ReplayEngine::run()
         const std::size_t n = input_->next(batch_, kReplayBatchRecords);
         if (n == 0)
             break;
+        checkBatch(base, n);
         // Cooperative cancellation: polled at every batch boundary
         // and every kCancelCheckInterval records, so an
         // over-deadline replay unwinds within microseconds with all
@@ -523,6 +503,23 @@ ReplayEngine::run()
                   input_->name() + "': " + fsck.toString());
     }
     return std::move(result_);
+}
+
+void
+ReplayEngine::checkBatch(std::uint64_t base, std::size_t n) const
+{
+    for (std::size_t k = 0; k < n; ++k) {
+        const SectorExtent &extent = batch_.extent(k);
+        const char *problem =
+            extent.empty() ? " has an empty extent"
+            : extent.start + extent.count < extent.start
+                ? " sector range overflows the address space"
+                : nullptr;
+        if (problem != nullptr)
+            throw StatusError(invalidArgumentError(
+                "trace '" + input_->name() + "': record " +
+                std::to_string(base + k) + problem));
+    }
 }
 
 void

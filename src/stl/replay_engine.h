@@ -70,21 +70,19 @@ class ReplayEngine
                  const std::vector<SimObserver *> &observers,
                  CancelToken cancel = {});
 
-    /** Convenience overload replaying an in-RAM trace (wraps it in
-     *  an engine-owned TraceRef). */
-    ReplayEngine(const SimConfig &config, const trace::Trace &trace,
-                 const std::vector<SimObserver *> &observers,
-                 CancelToken cancel = {});
-
     ~ReplayEngine();
 
     ReplayEngine(const ReplayEngine &) = delete;
     ReplayEngine &operator=(const ReplayEngine &) = delete;
 
     /**
-     * Replay the whole trace and return the aggregate result.
-     * @throws StatusError (Cancelled or DeadlineExceeded) when the
-     *         cancellation token fires mid-replay.
+     * Replay the whole trace and return the aggregate result. The
+     * input is reset and pulled once; each batch is checked before
+     * any of its records is served.
+     * @throws StatusError InvalidArgument naming the first record
+     *         with an empty extent or an overflowing sector range;
+     *         Cancelled or DeadlineExceeded when the cancellation
+     *         token fires mid-replay.
      */
     SimResult run();
 
@@ -94,16 +92,13 @@ class ReplayEngine
     /** Records pulled from the input per TraceInput::next() call. */
     static constexpr std::size_t kReplayBatchRecords = 256;
 
-    /** The assembled read path (introspection for tests). */
-    const ReadPipeline &readPipeline() const { return pipeline_; }
-
   private:
-    /** Delegation helper: the Trace overload routes through this
-     *  to keep the owned TraceRef alive for the engine's life. */
-    ReplayEngine(const SimConfig &config,
-                 std::unique_ptr<trace::TraceInput> owned,
-                 const std::vector<SimObserver *> &observers,
-                 CancelToken cancel);
+    /**
+     * Throw InvalidArgument for the first record of the pulled
+     * batch (records base .. base + n - 1) that cannot be
+     * replayed.
+     */
+    void checkBatch(std::uint64_t base, std::size_t n) const;
 
     /**
      * Translate, merge and serve one read. `fast_media_only`
@@ -128,10 +123,6 @@ class ReplayEngine
     void emitStageSpans();
 
     SimConfig config_;
-
-    /** Set only by the Trace convenience ctor: the TraceRef the
-     *  engine itself owns; input_ points at it then. */
-    std::unique_ptr<trace::TraceInput> ownedInput_;
 
     /** The record stream being replayed; never null. */
     trace::TraceInput *input_;

@@ -71,47 +71,11 @@ Simulator::clearObservers()
     observers_.clear();
 }
 
-Status
-Simulator::validateTrace(const trace::Trace &trace)
-{
-    trace::TraceRef ref(trace);
-    return validateInput(ref);
-}
-
-Status
-Simulator::validateInput(trace::TraceInput &input)
-{
-    input.reset();
-    trace::IoEventBatch batch;
-    std::uint64_t index = 0;
-    for (;;) {
-        const std::size_t n = input.next(batch, 4096);
-        if (n == 0)
-            break;
-        for (std::size_t k = 0; k < n; ++k, ++index) {
-            const SectorExtent &extent = batch.extent(k);
-            if (extent.empty())
-                return invalidArgumentError(
-                    "trace '" + input.name() + "': record " +
-                    std::to_string(index) +
-                    " has an empty extent");
-            if (extent.start + extent.count < extent.start)
-                return invalidArgumentError(
-                    "trace '" + input.name() + "': record " +
-                    std::to_string(index) +
-                    " sector range overflows the address space");
-        }
-    }
-    return Status();
-}
-
 SimResult
 Simulator::run(const trace::Trace &trace)
 {
-    StatusOr<SimResult> result = tryRun(trace);
-    if (!result.ok())
-        result.status().orFatal();
-    return std::move(result).value();
+    trace::TraceRef ref(trace);
+    return run(ref);
 }
 
 SimResult
@@ -124,24 +88,17 @@ Simulator::run(trace::TraceInput &input)
 }
 
 StatusOr<SimResult>
-Simulator::tryRun(const trace::Trace &trace, CancelToken cancel)
-{
-    trace::TraceRef ref(trace);
-    return tryRun(ref, std::move(cancel));
-}
-
-StatusOr<SimResult>
 Simulator::tryRun(trace::TraceInput &input, CancelToken cancel)
 {
-    Status valid = validateInput(input);
-    if (!valid.ok())
-        return valid;
     try {
-        return replay(input, cancel);
+        ReplayEngine engine(config_, input, observers_,
+                            std::move(cancel));
+        return engine.run();
     } catch (const StatusError &e) {
-        // Cooperative cancellation (or another typed failure) from
-        // inside the replay loop: pass the Status through intact so
-        // callers can tell DeadlineExceeded from Cancelled.
+        // A malformed record, cooperative cancellation or another
+        // typed failure from inside the replay loop: pass the
+        // Status through intact so callers can tell
+        // InvalidArgument from DeadlineExceeded or Cancelled.
         return e.status();
     } catch (const PanicError &e) {
         return internalError("replay of trace '" + input.name() +
@@ -151,14 +108,6 @@ Simulator::tryRun(trace::TraceInput &input, CancelToken cancel)
                                     input.name() +
                                     "' failed: " + e.what());
     }
-}
-
-SimResult
-Simulator::replay(trace::TraceInput &input,
-                  const CancelToken &cancel)
-{
-    ReplayEngine engine(config_, input, observers_, cancel);
-    return engine.run();
 }
 
 std::pair<SimResult, SimResult>

@@ -327,7 +327,8 @@ class Simulator
     void clearObservers();
 
     /**
-     * Replay a trace and return aggregate results.
+     * Replay an in-RAM trace and return aggregate results: run()
+     * over a TraceRef.
      * @throws FatalError / PanicError on a non-replayable trace or
      *         configuration (thin wrapper around tryRun).
      */
@@ -338,44 +339,25 @@ class Simulator
     SimResult run(trace::TraceInput &input);
 
     /**
-     * Typed-error replay entry point: validates the trace up front
-     * (InvalidArgument on a malformed record), then replays it,
-     * converting any escaped FatalError into InvalidArgument and
-     * any PanicError into Internal so one bad trace cannot take
+     * Typed-error replay entry point, the one every replay goes
+     * through. The input is reset and pulled exactly once; each
+     * batch is checked before any of its records is served, so a
+     * malformed record (empty extent, overflowing sector range)
+     * surfaces as InvalidArgument naming its index, with no
+     * result. An escaped FatalError becomes InvalidArgument and a
+     * PanicError becomes Internal, so one bad trace cannot take
      * down a batch sweep. A fired cancellation token surfaces as
      * Cancelled or DeadlineExceeded; the replay unwinds at the next
-     * per-batch check and no partial result is returned.
-     */
-    StatusOr<SimResult> tryRun(const trace::Trace &trace,
-                               CancelToken cancel = {});
-
-    /**
-     * As tryRun(const Trace &), for any record stream. The
-     * validation pass and the replay each reset the input, so it
-     * is pulled twice end to end; for identical record sequences
-     * the SimResult is byte-identical to the in-RAM overload.
+     * per-batch check and no partial result is returned. For
+     * identical record sequences the SimResult is byte-identical
+     * whatever the input (TraceRef, LskcView, WorkloadStream).
      */
     StatusOr<SimResult> tryRun(trace::TraceInput &input,
                                CancelToken cancel = {});
 
-    /**
-     * Check that a trace is replayable: every record has a
-     * non-empty extent whose sector range does not overflow.
-     * Returns InvalidArgument naming the first offending record.
-     */
-    static Status validateTrace(const trace::Trace &trace);
-
-    /** Streaming validateTrace over one full pass of `input`
-     *  (resets it; leaves the cursor at the end). */
-    static Status validateInput(trace::TraceInput &input);
-
     const SimConfig &config() const { return config_; }
 
   private:
-    /** Builds a per-run ReplayEngine and replays the stream. */
-    SimResult replay(trace::TraceInput &input,
-                     const CancelToken &cancel);
-
     SimConfig config_;
     std::vector<SimObserver *> observers_;
 };

@@ -194,13 +194,17 @@ struct CrashPointCheck
                      "run produced");
             return;
         }
-        for (std::size_t i = 0; i < scan.records.size(); ++i)
+        for (std::size_t i = 0; i < scan.records.size(); ++i) {
             if (!(scan.records[i] == referenceRecords[i])) {
                 result.failure = fail(
                     "recovered record " + std::to_string(i) +
                     " diverges from the reference scan");
                 return;
             }
+            if (scan.records[i].kind ==
+                JournalRecordKind::SegmentReset)
+                ++result.reclaims;
+        }
 
         const std::unique_ptr<TranslationLayer> remounted =
             freshLayer(config, addressSpaceEnd);
@@ -282,8 +286,10 @@ crashTrace(std::size_t ops, std::uint64_t seed, Lba address_space)
     trace.appendWrite(address_space - 8, 8);
     // The rest of the traffic hammers a hot quarter of the space:
     // overwrites keep the live set bounded (the finite log must
-    // never overcommit) while the written volume still wraps the
-    // log and fills the media cache, so cleaning and merges fire.
+    // never overcommit). Given enough ops the written volume wraps
+    // the log and fills the media cache, so cleaning and merges
+    // fire. Under crashCaseConfig every finite-log cell reclaims a
+    // segment by 720 ops; at 240 none reaches its clean reserve.
     const Lba hot = std::max<Lba>(address_space / 4, 64);
     for (std::size_t i = 1; i < ops; ++i) {
         const std::uint64_t draw =
@@ -362,8 +368,9 @@ runCrashMatrix(const CrashCase &c, const trace::Trace &trace)
             SimConfig config = base;
             config.journal = &journal;
             config.zonedDevice->crash = {n, c.seed ^ n};
+            trace::TraceRef input(trace);
             const StatusOr<SimResult> run =
-                Simulator(config).tryRun(trace);
+                Simulator(config).tryRun(input);
             const bool crashed = !run.ok();
             if (crashed &&
                 run.status().code() != StatusCode::DataLoss) {

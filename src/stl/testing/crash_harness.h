@@ -86,6 +86,10 @@ struct CrashMatrixResult
     /** Epochs replayed across all mounts. */
     std::uint64_t epochsApplied = 0;
 
+    /** SegmentReset records (finite-log reclaims) in the recovered
+     *  journals, summed across all crash points. */
+    std::uint64_t reclaims = 0;
+
     /** Map entries the Fsck passes compared. */
     std::uint64_t entriesChecked = 0;
 
@@ -113,8 +117,9 @@ trace::Trace crashTrace(std::size_t ops, std::uint64_t seed,
 
 /**
  * The SimConfig a CrashCase replays under (journal not yet
- * attached). Geometry constants are sized small so cleaning,
- * merges and zone crossings all fire within a few hundred ops.
+ * attached). Geometry constants are sized small so zone crossings
+ * fire within a few hundred ops, and finite-log cleaning within
+ * several hundred (the CrashRecovery matrix replays 960).
  */
 SimConfig crashCaseConfig(const CrashCase &c);
 

@@ -6,7 +6,6 @@
 #include <sys/stat.h>
 
 #include "telemetry/trace_writer.h"
-#include "trace/binary.h"
 #include "trace/input.h"
 #include "trace/lskc.h"
 #include "trace/msr_csv.h"
@@ -46,7 +45,8 @@ fileBytes(const std::string &path)
 
 StatusOr<Trace>
 tryLoadTraceFile(const std::string &path, TraceFormat format,
-                 const std::string &name)
+                 const std::string &name,
+                 const MsrCsvOptions &csv_options)
 {
     StatusOr<TraceFormat> resolved =
         resolveTraceFormat(path, format);
@@ -55,13 +55,11 @@ tryLoadTraceFile(const std::string &path, TraceFormat format,
     switch (resolved.value()) {
     case TraceFormat::Csv: {
         StatusOr<MsrParseResult> parsed = tryParseMsrCsvFile(
-            path, name.empty() ? stemOf(path) : name);
+            path, name.empty() ? stemOf(path) : name, csv_options);
         if (!parsed.ok())
             return parsed.status();
         return std::move(parsed).value().trace;
     }
-    case TraceFormat::Lskt:
-        return tryReadBinaryTraceFile(path);
     case TraceFormat::Lskc:
         return tryReadLskcFile(path);
     case TraceFormat::Auto:
@@ -92,8 +90,6 @@ tryWriteTraceFile(const std::string &path, const Trace &trace,
         return os ? Status()
                   : unavailableError("short write: " + path);
     }
-    case TraceFormat::Lskt:
-        return tryWriteBinaryTraceFile(path, trace);
     case TraceFormat::Lskc:
         return tryWriteLskcFile(path, trace);
     case TraceFormat::Auto:
@@ -101,7 +97,7 @@ tryWriteTraceFile(const std::string &path, const Trace &trace,
     }
     return invalidArgumentError(
         "cannot infer the output format of '" + path +
-        "'; name it *.csv/*.lskt/*.lskc or pass "
+        "'; name it *.csv/*.lskc or pass "
         "--trace-format");
 }
 
@@ -123,7 +119,7 @@ tryConvertTraceFile(const std::string &in_path,
     if (out == TraceFormat::Auto)
         return invalidArgumentError(
             "cannot infer the output format of '" + out_path +
-            "'; name it *.csv/*.lskt/*.lskc or pass "
+            "'; name it *.csv/*.lskc or pass "
             "--trace-format");
 
     StatusOr<Trace> trace =

@@ -2,7 +2,7 @@
  * @file
  * Format-agnostic trace loading and conversion.
  *
- * tryLoadTraceFile reads any supported trace file (MSR CSV, LSKT,
+ * tryLoadTraceFile reads any supported trace file (MSR CSV or
  * LSKC) into an in-RAM Trace; tryConvertTraceFile rewrites a trace
  * file from one format to another — the tools-level entry point
  * behind bench/trace_convert and the --trace-format/--convert-out
@@ -18,6 +18,7 @@
 #include <string>
 
 #include "trace/format.h"
+#include "trace/msr_csv.h"
 #include "trace/trace.h"
 #include "util/status.h"
 
@@ -28,12 +29,14 @@ namespace logseek::trace
  * Load a trace file of any supported format into an in-RAM Trace.
  * `format` Auto sniffs the file (resolveTraceFormat). `name` is
  * used for CSV traces, which do not carry one; empty derives it
- * from the file name. LSKT/LSKC traces keep their embedded name.
+ * from the file name. LSKC traces keep their embedded name.
+ * `csv_options` (skip mode, disk filter) apply to CSV input only.
  */
 StatusOr<Trace> tryLoadTraceFile(
     const std::string &path,
     TraceFormat format = TraceFormat::Auto,
-    const std::string &name = "");
+    const std::string &name = "",
+    const MsrCsvOptions &csv_options = {});
 
 /** What a conversion did. */
 struct ConvertSummary

@@ -17,8 +17,6 @@ toString(TraceFormat format)
         return "auto";
     case TraceFormat::Csv:
         return "csv";
-    case TraceFormat::Lskt:
-        return "lskt";
     case TraceFormat::Lskc:
         return "lskc";
     }
@@ -32,13 +30,11 @@ parseTraceFormat(std::string_view text)
         return TraceFormat::Auto;
     if (text == "csv")
         return TraceFormat::Csv;
-    if (text == "lskt")
-        return TraceFormat::Lskt;
     if (text == "lskc")
         return TraceFormat::Lskc;
     return invalidArgumentError(
         "bad trace format '" + std::string(text) +
-        "' (expected auto, csv, lskt or lskc)");
+        "' (expected auto, csv or lskc)");
 }
 
 TraceFormat
@@ -55,8 +51,6 @@ formatFromPath(const std::string &path)
                    });
     if (ext == "csv")
         return TraceFormat::Csv;
-    if (ext == "lskt")
-        return TraceFormat::Lskt;
     if (ext == "lskc")
         return TraceFormat::Lskc;
     return TraceFormat::Auto;
@@ -79,7 +73,10 @@ resolveTraceFormat(const std::string &path, TraceFormat declared)
     // the CSV parser report whatever it is.
     if (in.gcount() == sizeof(magic)) {
         if (std::memcmp(magic, "LSKT", 4) == 0)
-            return TraceFormat::Lskt;
+            return invalidArgumentError(
+                "trace file " + path +
+                " uses the removed LSKT format; re-create it as "
+                "CSV or LSKC");
         if (std::memcmp(magic, "LSKC", 4) == 0)
             return TraceFormat::Lskc;
     }

@@ -12,8 +12,9 @@
  *  - workloads::WorkloadStream (workloads/stream.h) synthesizes
  *    records chunk by chunk with bounded memory.
  *
- * reset() rewinds to the first record, so one input supports the
- * simulator's validate-then-replay double pass. Inputs are
+ * reset() rewinds to the first record. A replay resets its input
+ * once and pulls it once, checking each batch as it arrives; the
+ * LSKC writer makes one pass per column. Inputs are
  * single-cursor and not thread-safe; sharing a workload between
  * concurrent sweep cells goes through TraceSource, an immutable
  * factory whose open() hands each cell its own cursor.

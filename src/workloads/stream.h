@@ -9,8 +9,8 @@
  * record count — replaying a workload 100x larger than RAM keeps a
  * flat RSS (asserted by the ingest smoke test). Chunks come from a
  * pure function of the chunk index, which is what makes every pass
- * (the simulator's validate-then-replay double pull, reruns under
- * any --jobs) reproduce the identical record sequence and thus a
+ * (the LSKC writer's column passes, reruns under any --jobs)
+ * reproduce the identical record sequence and thus a
  * byte-identical SimResult.
  *
  * Two spec factories cover the repo's needs:

@@ -22,6 +22,15 @@
 #          timing fields stripped (cleaning_interaction.json); the
 #          only harness that drives finite-log relocation (defrag)
 #          and cleaning under all three policies
+#   paper  one of the paper-figure harnesses (table1_workloads,
+#          fig2_seek_counts, fig3_seek_timeseries,
+#          fig4_access_distance, fig5_fragmented_reads,
+#          fig7_write_patterns, fig8_misordered,
+#          fig10_fragment_popularity) at 0.002 --jobs 1, named by
+#          the binary's file name: the stdout table (<name>.txt)
+#          and, for the harnesses that write one, the JSON report
+#          with its timing fields stripped (<name>.json); table1,
+#          fig7 and fig8 write no JSON
 #
 # Usage:
 #   tests/golden/check_golden.sh fig11 <fig11_saf binary> <work dir>
@@ -30,6 +39,7 @@
 #   tests/golden/check_golden.sh layers <compare_translation_layers binary> <work dir>
 #   tests/golden/check_golden.sh gc <gc_ablation binary> <work dir>
 #   tests/golden/check_golden.sh cleaning <cleaning_interaction binary> <work dir>
+#   tests/golden/check_golden.sh paper <paper-figure harness binary> <work dir>
 #
 # The fresh outputs stay in the work dir. On a mismatch the script
 # names the produced file; copying it over the golden is a behaviour
@@ -38,7 +48,7 @@
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
-    echo "usage: $0 fig11|crash|device|layers|gc|cleaning <binary> <work dir>" >&2
+    echo "usage: $0 fig11|crash|device|layers|gc|cleaning|paper <binary> <work dir>" >&2
     exit 2
 fi
 mode="$1"
@@ -113,9 +123,23 @@ cleaning)
     check "${golden}/cleaning_interaction.json" \
         "${work}/cleaning_interaction.json"
     ;;
+paper)
+    name="$(basename "${binary}")"
+    "${binary}" 0.002 --jobs 1 --json="${work}/${name}.raw.json" \
+        > "${work}/${name}.txt"
+    check "${golden}/${name}.txt" "${work}/${name}.txt"
+    if [ -f "${golden}/${name}.json" ]; then
+        strip_timing "${work}/${name}.raw.json" \
+            > "${work}/${name}.json"
+        check "${golden}/${name}.json" "${work}/${name}.json"
+    elif [ -e "${work}/${name}.raw.json" ]; then
+        echo "golden missing: ${golden}/${name}.json" >&2
+        exit 1
+    fi
+    ;;
 *)
     echo "$0: unknown mode '${mode}'" >&2
     exit 2
     ;;
 esac
-echo "golden ${mode}: byte-identical"
+echo "golden ${mode}${name:+ ${name}}: byte-identical"

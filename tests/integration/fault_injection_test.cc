@@ -1,20 +1,27 @@
 /**
  * @file
  * Fault-injection sweep over the trace ingestion stack: hundreds of
- * seeded truncations, bit-flips, short reads and mid-record EOFs
- * against the CSV and binary readers. The contract under test is
- * the robustness tentpole's: every injected fault must surface as a
- * typed Status error or a counted skip — never undefined behavior,
- * never a crash, never an uncaught exception.
+ * seeded truncations, bit-flips and short reads against the CSV
+ * reader, replay of corrupt-but-parseable traces, and the LSKC
+ * writer's I/O failures. The contract under test: every injected
+ * fault must surface as a typed Status error or a counted skip —
+ * never undefined behavior, never a crash, never an uncaught
+ * exception. The LSKC reader's own fault sweep lives in
+ * tests/trace/lskc_test.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <string>
 
 #include "stl/simulator.h"
-#include "trace/binary.h"
+#include "trace/input.h"
+#include "trace/lskc.h"
 #include "trace/msr_csv.h"
 #include "util/fault.h"
 
@@ -37,15 +44,6 @@ victimTrace()
 }
 
 std::string
-binaryBytes(const Trace &trace)
-{
-    std::stringstream buffer(std::ios::in | std::ios::out |
-                             std::ios::binary);
-    writeBinaryTrace(buffer, trace);
-    return buffer.str();
-}
-
-std::string
 csvBytes(const Trace &trace)
 {
     std::ostringstream buffer;
@@ -54,24 +52,10 @@ csvBytes(const Trace &trace)
 }
 
 /**
- * Feed corrupted bytes to the binary reader; the parse must either
+ * Feed corrupted bytes to the CSV reader; the parse must either
  * succeed or fail with a typed status — anything escaping as an
  * exception fails the sweep. Returns the status for extra checks.
  */
-Status
-sweepBinary(const std::string &bytes, FaultKind kind,
-            std::uint64_t seed)
-{
-    std::istringstream in(bytes);
-    Status status;
-    EXPECT_NO_THROW({
-        const StatusOr<Trace> result = tryReadBinaryTrace(in);
-        status = result.ok() ? Status() : result.status();
-    }) << toString(kind) << " seed " << seed;
-    return status;
-}
-
-/** CSV counterpart of sweepBinary. */
 Status
 sweepCsv(const std::string &bytes, const MsrCsvOptions &options,
          FaultKind kind, std::uint64_t seed)
@@ -83,91 +67,15 @@ sweepCsv(const std::string &bytes, const MsrCsvOptions &options,
             tryParseMsrCsv(in, "victim", options);
         if (result.ok()) {
             // A parse that succeeds on corrupt bytes must still
-            // yield a trace the replay layer can at least vet
-            // without crashing.
-            EXPECT_NO_THROW(
-                stl::Simulator::validateTrace(result.value().trace));
+            // yield a trace the replay takes without crashing: a
+            // result or a typed error.
+            TraceRef input(result.value().trace);
+            EXPECT_NO_THROW((void)stl::Simulator().tryRun(input));
         } else {
             status = result.status();
         }
     }) << toString(kind) << " seed " << seed;
     return status;
-}
-
-TEST(FaultInjection, BinaryEveryPrefixTruncationIsTypedError)
-{
-    const std::string bytes = binaryBytes(victimTrace());
-    ASSERT_GT(bytes.size(), 100u);
-    // Exhaustive, not sampled: every strict prefix must fail with a
-    // typed DataLoss (the record count promises more bytes).
-    for (std::size_t length = 0; length < bytes.size(); ++length) {
-        const Status status =
-            sweepBinary(truncateAt(bytes, length),
-                        FaultKind::Truncate, length);
-        EXPECT_FALSE(status.ok()) << "prefix length " << length;
-        EXPECT_EQ(status.code(), StatusCode::DataLoss)
-            << "prefix length " << length;
-    }
-}
-
-TEST(FaultInjection, BinarySeededBitFlipsNeverCrash)
-{
-    const std::string bytes = binaryBytes(victimTrace());
-    int typed_errors = 0;
-    for (std::uint64_t seed = 0; seed < 64; ++seed) {
-        const Status status =
-            sweepBinary(injectBitFlip(bytes, seed),
-                        FaultKind::BitFlip, seed);
-        if (!status.ok())
-            ++typed_errors;
-    }
-    // Most single-bit flips land in a checked field (magic,
-    // version, lengths, type); some flip only a payload value and
-    // legitimately still parse. Both are fine — the sweep only
-    // forbids crashes — but a checksum-free format should still
-    // catch a decent share.
-    EXPECT_GT(typed_errors, 0);
-}
-
-TEST(FaultInjection, BinaryEofMidRecordIsTypedError)
-{
-    const Trace victim = victimTrace();
-    const std::string bytes = binaryBytes(victim);
-    const std::size_t header = kBinaryTraceHeaderBytes +
-                               victim.name().size() + 8;
-    for (std::uint64_t seed = 0; seed < 50; ++seed) {
-        const Status status = sweepBinary(
-            injectEofMidRecord(bytes, header,
-                               kBinaryTraceRecordBytes, seed),
-            FaultKind::EofMidRecord, seed);
-        EXPECT_FALSE(status.ok()) << "seed " << seed;
-        EXPECT_EQ(status.code(), StatusCode::DataLoss)
-            << "seed " << seed;
-    }
-}
-
-TEST(FaultInjection, BinarySurvivesShortReads)
-{
-    const Trace victim = victimTrace();
-    const std::string bytes = binaryBytes(victim);
-    for (std::uint64_t seed = 0; seed < 16; ++seed) {
-        ShortReadStream in(bytes, seed, 3);
-        const StatusOr<Trace> result = tryReadBinaryTrace(in);
-        ASSERT_TRUE(result.ok()) << "seed " << seed;
-        EXPECT_EQ(result.value().size(), victim.size())
-            << "seed " << seed;
-    }
-}
-
-TEST(FaultInjection, BinaryBitFlipThroughShortReadsNeverCrashes)
-{
-    const std::string bytes = binaryBytes(victimTrace());
-    for (std::uint64_t seed = 0; seed < 30; ++seed) {
-        ShortReadStream in(injectBitFlip(bytes, seed), seed + 1000,
-                           5);
-        EXPECT_NO_THROW(tryReadBinaryTrace(in))
-            << "seed " << seed;
-    }
 }
 
 TEST(FaultInjection, CsvSeededTruncationStrictMode)
@@ -251,81 +159,97 @@ TEST(FaultInjection, CsvErrorBudgetRejectsMostlyGarbageTrace)
 TEST(FaultInjection, ReplayRejectsOverflowingTraceWithTypedError)
 {
     // A corrupted-but-parseable trace whose sector range overflows
-    // must be rejected by tryRun up front, not crash the replay.
+    // must be rejected by tryRun before the record is served, not
+    // crash the replay.
     Trace bad("overflow");
     bad.append(IoRecord{0, IoType::Read,
                         SectorExtent{~0ULL - 4, 100}});
+    TraceRef input(bad);
     stl::Simulator simulator;
-    const StatusOr<stl::SimResult> result = simulator.tryRun(bad);
+    const StatusOr<stl::SimResult> result = simulator.tryRun(input);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(),
               StatusCode::InvalidArgument);
 }
 
-TEST(FaultInjection, BinaryWriterEveryBudgetIsTypedError)
+/** A TraceRef whose passes after the first drop the last record:
+ *  an input that breaks the same-records-on-every-pass contract. */
+class ShrinkingInput final : public TraceInput
 {
-    // The write side of the same contract: a disk that fills up at
-    // any point must surface as a typed Unavailable, never a fatal.
-    const Trace trace = victimTrace();
-    const std::string full = binaryBytes(trace);
-    for (std::size_t budget = 0; budget < full.size(); ++budget) {
-        ShortWriteStream out(budget);
-        const Status status = tryWriteBinaryTrace(out, trace);
-        ASSERT_FALSE(status.ok()) << "budget " << budget;
-        EXPECT_EQ(status.code(), StatusCode::Unavailable)
-            << "budget " << budget;
-        EXPECT_NE(status.message().find("short write"),
-                  std::string::npos)
-            << "budget " << budget;
-        // What reached "media" is a strict prefix of the good file.
-        EXPECT_EQ(full.compare(0, out.written().size(),
-                               out.written()),
-                  0)
-            << "budget " << budget;
+  public:
+    explicit ShrinkingInput(const Trace &trace) : trace_(trace) {}
+
+    const std::string &name() const override
+    {
+        return trace_.name();
     }
-}
+    Lba addressSpaceEnd() const override
+    {
+        return trace_.addressSpaceEnd();
+    }
+    std::size_t
+    next(IoEventBatch &batch, std::size_t max) override
+    {
+        const std::size_t end =
+            passes_ > 1 ? trace_.size() - 1 : trace_.size();
+        const std::size_t n = std::min(max, end - pos_);
+        if (n == 0)
+            return 0;
+        batch.buildFrom(trace_, pos_, pos_ + n);
+        pos_ += n;
+        return n;
+    }
+    void
+    reset() override
+    {
+        pos_ = 0;
+        ++passes_;
+    }
 
-TEST(FaultInjection, BinaryWriterFlushFailureIsTypedError)
+  private:
+    const Trace &trace_;
+    std::size_t pos_ = 0;
+    std::size_t passes_ = 0;
+};
+
+TEST(FaultInjection, LskcWriterFileErrorIsTypedError)
 {
-    const Trace trace = victimTrace();
-    ShortWriteStream out(1 << 20, /*fail_sync=*/true);
-    const Status status = tryWriteBinaryTrace(out, trace);
+    const Status status = tryWriteLskcFile(
+        "/nonexistent/dir/trace.lskc", victimTrace());
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::Unavailable);
-    EXPECT_NE(status.message().find("flush"), std::string::npos);
 }
 
-TEST(FaultInjection, BinaryWriterSucceedsWithinBudget)
+TEST(FaultInjection, LskcWriterFullDiskIsTypedShortWrite)
 {
-    const Trace trace = victimTrace();
-    const std::string full = binaryBytes(trace);
-    ShortWriteStream out(full.size());
-    ASSERT_TRUE(tryWriteBinaryTrace(out, trace).ok());
-    EXPECT_EQ(out.written(), full);
-}
-
-TEST(FaultInjection, BinaryWriterFileErrorIsTypedError)
-{
-    const Status status = tryWriteBinaryTraceFile(
-        "/nonexistent/dir/trace.bin", victimTrace());
+    // A device that is always full: the column writes fail, which
+    // must surface as a typed Unavailable, never a fatal.
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full is not available";
+    Trace trace("full");
+    for (std::uint64_t i = 0; i < 20000; ++i)
+        trace.appendWrite(8 * i, 8, i);
+    const Status status = tryWriteLskcFile("/dev/full", trace);
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::Unavailable);
+    EXPECT_NE(status.message().find("short write"),
+              std::string::npos)
+        << status.message();
 }
 
-TEST(FaultInjection, BinaryWriterTruncatedOutputFailsTheReader)
+TEST(FaultInjection, LskcWriterUnstableInputIsDataLoss)
 {
-    // End-to-end: a short-written file is detected on read — the
-    // torn bytes parse to a typed error, not a silent short trace.
+    const std::string path = "/tmp/logseek_fault_unstable_" +
+                             std::to_string(::getpid()) + ".lskc";
     const Trace trace = victimTrace();
-    const std::string full = binaryBytes(trace);
-    ShortWriteStream out(full.size() / 2);
-    ASSERT_FALSE(tryWriteBinaryTrace(out, trace).ok());
-
-    std::stringstream torn(std::ios::in | std::ios::out |
-                           std::ios::binary);
-    torn.str(out.written());
-    const StatusOr<Trace> parsed = tryReadBinaryTrace(torn);
-    EXPECT_FALSE(parsed.ok());
+    ShrinkingInput input(trace);
+    const Status status = tryWriteLskcFile(path, input);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::DataLoss);
+    EXPECT_NE(status.message().find("different record count"),
+              std::string::npos)
+        << status.message();
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "stl/replay_engine.h"
 #include "stl/simulator.h"
+#include "trace/input.h"
 #include "util/logging.h"
 
 namespace logseek::stl
@@ -42,6 +46,62 @@ class Recorder : public SimObserver
 
     std::vector<IoEvent> events;
 };
+
+/**
+ * TraceInput over raw records (which, unlike Trace::append, may be
+ * malformed) that counts its passes and the records it hands out.
+ */
+class CountingInput final : public trace::TraceInput
+{
+  public:
+    explicit CountingInput(std::vector<trace::IoRecord> records)
+        : records_(std::move(records))
+    {
+    }
+
+    const std::string &name() const override { return name_; }
+    Lba addressSpaceEnd() const override { return 1 << 20; }
+
+    std::size_t
+    next(trace::IoEventBatch &batch, std::size_t max) override
+    {
+        const std::size_t n =
+            std::min(max, records_.size() - pos_);
+        batch.clear();
+        for (std::size_t i = 0; i < n; ++i)
+            batch.append(records_[pos_ + i]);
+        pos_ += n;
+        pulled += n;
+        return n;
+    }
+
+    void
+    reset() override
+    {
+        pos_ = 0;
+        ++resets;
+    }
+
+    std::uint64_t resets = 0;
+    std::uint64_t pulled = 0;
+
+  private:
+    std::string name_ = "counted";
+    std::vector<trace::IoRecord> records_;
+    std::size_t pos_ = 0;
+};
+
+/** `n` well-formed records: alternating 8-sector writes and reads. */
+std::vector<trace::IoRecord>
+mixedRecords(std::size_t n)
+{
+    std::vector<trace::IoRecord> records;
+    for (std::size_t i = 0; i < n; ++i)
+        records.push_back(trace::IoRecord{
+            i, i % 2 == 0 ? trace::IoType::Write : trace::IoType::Read,
+            SectorExtent{(i * 7919) % 4096 * 8, 8}});
+    return records;
+}
 
 TEST(Simulator, ConventionalCountsTraceOrderSeeks)
 {
@@ -345,6 +405,68 @@ TEST(Simulator, SeekTimeAccumulates)
     EXPECT_GT(nols.seekTimeSec, 0.0);
     const SimResult ls = Simulator(lsConfig()).run(trace);
     EXPECT_LT(ls.seekTimeSec, nols.seekTimeSec);
+}
+
+TEST(Simulator, TryRunPullsItsInputExactlyOnce)
+{
+    // Four batches' worth of records: one reset, every record
+    // pulled once, and the same result as the in-RAM path.
+    const std::size_t n = 3 * ReplayEngine::kReplayBatchRecords + 17;
+    const std::vector<trace::IoRecord> records = mixedRecords(n);
+    for (const SimConfig &config : {nolsConfig(), lsConfig()}) {
+        CountingInput input(records);
+        const StatusOr<SimResult> result =
+            Simulator(config).tryRun(input);
+        ASSERT_TRUE(result.ok()) << result.status().toString();
+        EXPECT_EQ(input.resets, 1U);
+        EXPECT_EQ(input.pulled, n);
+
+        trace::Trace trace("counted");
+        for (const trace::IoRecord &record : records)
+            trace.append(record);
+        EXPECT_EQ(result.value().reads + result.value().writes, n);
+        EXPECT_EQ(result.value().totalSeeks(),
+                  Simulator(config).run(trace).totalSeeks());
+    }
+}
+
+TEST(Simulator, MalformedRecordInALaterBatchIsTypedAndServesNone)
+{
+    // The bad record sits in the second batch: the first batch is
+    // replayed, the second is rejected before any of its records
+    // is served, and the error names the record's index.
+    const std::size_t batch = ReplayEngine::kReplayBatchRecords;
+    const std::size_t bad = batch + 44;
+    struct Case
+    {
+        SectorExtent extent;
+        std::string message;
+    };
+    for (const Case &c :
+         {Case{SectorExtent{64, 0},
+               "record " + std::to_string(bad) +
+                   " has an empty extent"},
+          Case{SectorExtent{~0ULL - 4, 100},
+               "record " + std::to_string(bad) +
+                   " sector range overflows the address space"}}) {
+        std::vector<trace::IoRecord> records =
+            mixedRecords(2 * batch + 5);
+        records[bad].extent = c.extent;
+        CountingInput input(std::move(records));
+        Recorder recorder;
+        Simulator simulator(lsConfig());
+        simulator.addObserver(&recorder);
+        const StatusOr<SimResult> result = simulator.tryRun(input);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(),
+                  StatusCode::InvalidArgument);
+        EXPECT_NE(result.status().message().find(
+                      "trace 'counted': " + c.message),
+                  std::string::npos)
+            << result.status().message();
+        EXPECT_EQ(input.resets, 1U);
+        EXPECT_EQ(recorder.events.size(), batch);
+    }
 }
 
 TEST(Simulator, NullObserverPanics)

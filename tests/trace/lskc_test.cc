@@ -16,10 +16,10 @@
 #include <unistd.h>
 
 #include "stl/simulator.h"
-#include "trace/binary.h"
 #include "trace/convert.h"
 #include "trace/format.h"
 #include "trace/lskc.h"
+#include "trace/msr_csv.h"
 #include "util/fault.h"
 #include "util/random.h"
 
@@ -254,28 +254,36 @@ TEST(LskcTrace, SeededFaultSweepIsAlwaysTyped)
     std::remove(path.c_str());
 }
 
-TEST(LskcTrace, FormatSniffRecognizesAllThreeFormats)
+TEST(LskcTrace, FormatSniffRecognizesBothFormatsAndRejectsLskt)
 {
     const std::string lskc = tempPath("sniff");
     ASSERT_TRUE(tryWriteLskcFile(lskc, sampleTrace()).ok());
-    const std::string lskt = "/tmp/logseek_lskc_sniff_" +
-                             std::to_string(::getpid()) + ".lskt";
-    writeBinaryTraceFile(lskt, sampleTrace());
     const std::string csv = "/tmp/logseek_lskc_sniff_" +
                             std::to_string(::getpid()) + ".csv";
     writeFileBytes(csv, "0,host,0,Read,4096,8192,100\n");
+    // The magic of the removed row-major format: it must not fall
+    // through to the CSV parser.
+    const std::string lskt = "/tmp/logseek_lskc_sniff_" +
+                             std::to_string(::getpid()) + ".lskt";
+    writeFileBytes(lskt, std::string("LSKT\x01\0\0\0", 8));
 
     const auto a = resolveTraceFormat(lskc, TraceFormat::Auto);
-    const auto b = resolveTraceFormat(lskt, TraceFormat::Auto);
     const auto c = resolveTraceFormat(csv, TraceFormat::Auto);
-    ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+    ASSERT_TRUE(a.ok() && c.ok());
     EXPECT_EQ(a.value(), TraceFormat::Lskc);
-    EXPECT_EQ(b.value(), TraceFormat::Lskt);
     EXPECT_EQ(c.value(), TraceFormat::Csv);
+    const auto b = resolveTraceFormat(lskt, TraceFormat::Auto);
+    ASSERT_FALSE(b.ok());
+    EXPECT_EQ(b.status().code(), StatusCode::InvalidArgument);
+    EXPECT_NE(b.status().message().find("removed LSKT format"),
+              std::string::npos)
+        << b.status().message();
+    EXPECT_FALSE(tryLoadTraceFile(lskt).ok());
     // A declared format always wins over the sniff.
     const auto declared = resolveTraceFormat(csv, TraceFormat::Lskc);
     ASSERT_TRUE(declared.ok());
     EXPECT_EQ(declared.value(), TraceFormat::Lskc);
+    EXPECT_EQ(formatFromPath(lskt), TraceFormat::Auto);
 
     std::remove(lskc.c_str());
     std::remove(lskt.c_str());
@@ -284,15 +292,21 @@ TEST(LskcTrace, FormatSniffRecognizesAllThreeFormats)
 
 TEST(LskcTrace, ConversionRoundTripPreservesRecords)
 {
-    const Trace original = randomTrace(19, 400);
-    const std::string lskt = "/tmp/logseek_lskc_conv_" +
-                             std::to_string(::getpid()) + ".lskt";
+    // MSR CSV rebases timestamps to the first record, so the
+    // source trace starts at 0 and runs forward.
+    const Trace random = randomTrace(19, 400);
+    Trace original("conv");
+    for (std::size_t i = 0; i < random.size(); ++i)
+        original.append(IoRecord{10 * i, random[i].type,
+                                 random[i].extent});
+    const std::string csv = "/tmp/logseek_lskc_conv_" +
+                            std::to_string(::getpid()) + ".csv";
     const std::string lskc = tempPath("conv");
-    writeBinaryTraceFile(lskt, original);
+    ASSERT_TRUE(tryWriteTraceFile(csv, original).ok());
 
-    const auto summary = tryConvertTraceFile(lskt, lskc);
+    const auto summary = tryConvertTraceFile(csv, lskc);
     ASSERT_TRUE(summary.ok()) << summary.status().message();
-    EXPECT_EQ(summary.value().inFormat, TraceFormat::Lskt);
+    EXPECT_EQ(summary.value().inFormat, TraceFormat::Csv);
     EXPECT_EQ(summary.value().outFormat, TraceFormat::Lskc);
     EXPECT_EQ(summary.value().records, original.size());
 
@@ -310,7 +324,7 @@ TEST(LskcTrace, ConversionRoundTripPreservesRecords)
     ASSERT_TRUE(re.ok());
     EXPECT_EQ(readFileBytes(lskc), readFileBytes(again));
 
-    std::remove(lskt.c_str());
+    std::remove(csv.c_str());
     std::remove(lskc.c_str());
     std::remove(again.c_str());
 }
@@ -319,9 +333,9 @@ TEST(LskcTrace, ParseTraceFormatIsStrict)
 {
     EXPECT_TRUE(parseTraceFormat("auto").ok());
     EXPECT_TRUE(parseTraceFormat("csv").ok());
-    EXPECT_TRUE(parseTraceFormat("lskt").ok());
     EXPECT_TRUE(parseTraceFormat("lskc").ok());
-    for (const char *bad : {"", "CSV", "Lskc", "binary", "lsk"}) {
+    for (const char *bad :
+         {"", "CSV", "Lskc", "binary", "lsk", "lskt"}) {
         const auto parsed = parseTraceFormat(bad);
         ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
         EXPECT_EQ(parsed.status().code(),
