@@ -17,7 +17,9 @@
 # perf_extent_map / perf_simulator benchmarks and runs them at
 # reduced iterations, writing BENCH_extent_map.smoke.json — a quick
 # sanity check that the translation hot path still beats the
-# preserved std::map reference (CI uploads the file as an artifact;
+# preserved std::map reference. The mode fails when any level's
+# mapSpeedup (the tree's mapRange against the std::map reference on
+# the same box) is below 1.0 (CI uploads the file as an artifact;
 # the checked-in BENCH_extent_map.json is regenerated manually at
 # full iterations). The smoke artifact records the box's nproc so
 # a ~1x parallel speedup on a 1-CPU runner is not misread as a
@@ -103,6 +105,16 @@ run_bench_smoke() {
         --target perf_extent_map perf_simulator
     build/bench/perf_extent_map \
         --json=BENCH_extent_map.smoke.json --translate-iters=50000
+    python3 - BENCH_extent_map.smoke.json <<'PY'
+import json, sys
+levels = json.load(open(sys.argv[1]))["extent_map"]["levels"]
+slow = [level for level in levels if level["mapSpeedup"] < 1.0]
+for level in slow:
+    print("tier1: mapRange slower than the std::map reference at "
+          "%d entries: mapSpeedup %.3f" % (level["entries"],
+                                           level["mapSpeedup"]))
+sys.exit(1 if slow else 0)
+PY
     build/bench/perf_simulator \
         --json=BENCH_extent_map.smoke.json --ops=20000 --reps=1
     echo "{\"nproc\": $(nproc 2>/dev/null || echo 1)}" \

@@ -182,26 +182,6 @@ ExtentMap::upperBound(Lba lba) const
     return leaf->next != nullptr ? Pos{leaf->next, 0} : Pos{};
 }
 
-ExtentMap::Pos
-ExtentMap::lowerBound(Lba lba) const
-{
-    Leaf *leaf = leafForRead(lba);
-    if (leaf == nullptr)
-        return {};
-    std::uint32_t lo = 0;
-    std::uint32_t hi = leaf->n;
-    while (lo < hi) {
-        const std::uint32_t mid = (lo + hi) / 2;
-        if (leaf->entries[mid].lba < lba)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo < leaf->n)
-        return {leaf, lo};
-    return leaf->next != nullptr ? Pos{leaf->next, 0} : Pos{};
-}
-
 bool
 ExtentMap::tryPrev(Pos &p) const
 {
@@ -311,15 +291,15 @@ ExtentMap::insertIntoParent(void *left, Lba separator, void *right,
         static_cast<Inner *>(right)->parent = target;
 }
 
-ExtentMap::Leaf *
-ExtentMap::splitLeaf(Leaf *leaf)
+void
+ExtentMap::splitLeaf(Leaf *leaf, const Entry *entries, std::uint32_t n)
 {
     constexpr std::uint32_t keep = kNodeCapacity / 2;
     Leaf *right = allocLeaf();
-    right->n = leaf->n - keep;
-    std::memcpy(right->entries, leaf->entries + keep,
-                sizeof(Entry) * right->n);
+    std::copy_n(entries, keep, leaf->entries);
+    std::copy_n(entries + keep, n - keep, right->entries);
     leaf->n = keep;
+    right->n = n - keep;
 
     right->prev = leaf;
     right->next = leaf->next;
@@ -332,52 +312,6 @@ ExtentMap::splitLeaf(Leaf *leaf)
     nodeSplits_->add();
     insertIntoParent(leaf, right->entries[0].lba, right,
                      /*children_are_leaves=*/true);
-    return right;
-}
-
-ExtentMap::Pos
-ExtentMap::insertEntry(const Entry &entry)
-{
-    if (root_ == nullptr) {
-        Leaf *leaf = allocLeaf();
-        root_ = leaf;
-        height_ = 0;
-        firstLeaf_ = lastLeaf_ = leaf;
-    }
-
-    // Inserts must route through the separators (not the cursor):
-    // the routing invariant guarantees the routed leaf is also the
-    // globally sorted position.
-    Leaf *leaf = descend(entry.lba);
-    std::uint32_t lo = 0;
-    std::uint32_t hi = leaf->n;
-    while (lo < hi) {
-        const std::uint32_t mid = (lo + hi) / 2;
-        if (leaf->entries[mid].lba < entry.lba)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    panicIf(lo < leaf->n && leaf->entries[lo].lba == entry.lba,
-            "ExtentMap::mapRange: range not cleared");
-
-    if (leaf->n == kNodeCapacity) {
-        Leaf *right = splitLeaf(leaf);
-        // Equal-to-separator routes left (duplicates panic above),
-        // matching the strictly-greater window check.
-        if (lo > leaf->n) {
-            lo -= leaf->n;
-            leaf = right;
-        }
-    }
-
-    std::memmove(leaf->entries + lo + 1, leaf->entries + lo,
-                 sizeof(Entry) * (leaf->n - lo));
-    leaf->entries[lo] = entry;
-    ++leaf->n;
-    ++entryCount_;
-    cursor_ = leaf;
-    return {leaf, lo};
 }
 
 void
@@ -455,79 +389,29 @@ ExtentMap::removeLeaf(Leaf *leaf)
     removeChild(parent, leaf);
 }
 
-ExtentMap::Pos
-ExtentMap::erasePos(Pos p)
+void
+ExtentMap::spliceLeaf(Leaf *leaf, std::uint32_t from, std::uint32_t to,
+                      const Entry *fill, std::uint32_t count)
 {
-    Leaf *leaf = p.leaf;
-    std::memmove(leaf->entries + p.idx, leaf->entries + p.idx + 1,
-                 sizeof(Entry) * (leaf->n - p.idx - 1));
-    --leaf->n;
-    --entryCount_;
-
-    if (leaf->n == 0) {
-        Leaf *following = leaf->next;
+    const std::uint32_t n = leaf->n - (to - from) + count;
+    entryCount_ = entryCount_ - (to - from) + count;
+    if (n > kNodeCapacity) {
+        // Lay the result out beside the full leaf, then split it.
+        Entry spliced[kNodeCapacity + 2] = {};
+        std::copy_n(leaf->entries, from, spliced);
+        std::copy_n(fill, count, spliced + from);
+        std::copy(leaf->entries + to, leaf->entries + leaf->n,
+                  spliced + from + count);
+        splitLeaf(leaf, spliced, n);
+        return;
+    }
+    if (to - from != count)
+        std::memmove(leaf->entries + from + count, leaf->entries + to,
+                     sizeof(Entry) * (leaf->n - to));
+    std::copy_n(fill, count, leaf->entries + from);
+    leaf->n = n;
+    if (n == 0)
         removeLeaf(leaf);
-        return following != nullptr ? Pos{following, 0} : Pos{};
-    }
-    if (p.idx < leaf->n)
-        return p;
-    return leaf->next != nullptr ? Pos{leaf->next, 0} : Pos{};
-}
-
-void
-ExtentMap::splitAt(Lba sector)
-{
-    Pos p = upperBound(sector);
-    if (!tryPrev(p))
-        return;
-    Entry &entry = p.leaf->entries[p.idx];
-    if (entry.lba >= sector || entry.lba + entry.count <= sector)
-        return;
-
-    const SectorCount left_count = sector - entry.lba;
-    const Entry right{sector, entry.pba + left_count,
-                      entry.count - left_count};
-    entry.count = left_count;
-    insertEntry(right);
-}
-
-void
-ExtentMap::eraseRange(Lba lo, Lba hi,
-                      std::vector<SectorExtent> *displaced)
-{
-    Pos it = lowerBound(lo);
-    while (it.leaf != nullptr && it.leaf->entries[it.idx].lba < hi) {
-        const Entry &entry = it.leaf->entries[it.idx];
-        panicIf(entry.lba + entry.count > hi,
-                "ExtentMap::eraseRange: entry crosses range end");
-        if (displaced != nullptr)
-            displaced->push_back(
-                SectorExtent{entry.pba, entry.count});
-        mappedSectors_ -= entry.count;
-        it = erasePos(it);
-    }
-}
-
-ExtentMap::Pos
-ExtentMap::tryMergeWithPrev(Pos p)
-{
-    if (p.leaf == nullptr)
-        return p;
-    Pos prev_pos = p;
-    if (!tryPrev(prev_pos))
-        return p;
-    Entry &prev = prev_pos.leaf->entries[prev_pos.idx];
-    const Entry &cur = p.leaf->entries[p.idx];
-    const bool lba_adjacent = prev.lba + prev.count == cur.lba;
-    const bool pba_adjacent = prev.pba + prev.count == cur.pba;
-    if (!lba_adjacent || !pba_adjacent)
-        return p;
-    // The merged run lives where prev already is, so its leaf keeps
-    // entries inside its routed window; erasing cur only shifts
-    // entries after it, leaving prev's slot intact.
-    prev.count += cur.count;
-    erasePos(p);
-    return prev_pos;
 }
 
 void
@@ -537,21 +421,124 @@ ExtentMap::mapRange(Lba lba, Pba pba, SectorCount count,
     panicIf(count == 0, "ExtentMap::mapRange: empty range");
     const Lba end = lba + count;
 
-    // Carve out the target range, then drop whatever was inside it.
-    splitAt(lba);
-    splitAt(end);
-    eraseRange(lba, end, displaced);
+    if (root_ == nullptr) {
+        Leaf *leaf = allocLeaf();
+        root_ = leaf;
+        height_ = 0;
+        firstLeaf_ = lastLeaf_ = leaf;
+    }
 
-    Pos it = insertEntry(Entry{lba, pba, count});
+    // The one descent. Mutations route through the separators, not
+    // the cursor: the routing invariant makes `first` the leaf whose
+    // window holds lba, and slot j the gap where the new run goes.
+    Leaf *const first = descend(lba);
+    const std::uint32_t j = static_cast<std::uint32_t>(
+        std::lower_bound(first->entries, first->entries + first->n, lba,
+                         [](const Entry &e, Lba key) {
+                             return e.lba < key;
+                         }) -
+        first->entries);
+
+    // Unmap [from, min(entry end, end)) of an overlapped entry; what
+    // it keeps past end becomes the tail, re-placed after the run.
+    Entry tail{};
+    bool has_tail = false;
+    auto cut = [&](const Entry &entry, Lba from) {
+        const Lba entry_end = entry.lba + entry.count;
+        const Lba to = std::min(entry_end, end);
+        if (displaced != nullptr)
+            displaced->push_back(
+                SectorExtent{entry.pba + (from - entry.lba), to - from});
+        mappedSectors_ -= to - from;
+        if (entry_end > end) {
+            tail = Entry{end, entry.pba + (end - entry.lba),
+                         entry_end - end};
+            has_tail = true;
+        }
+    };
+
+    // The predecessor keeps its head when it straddles lba.
+    Entry *left = j > 0 ? &first->entries[j - 1]
+                  : first->prev != nullptr
+                      ? &first->prev->entries[first->prev->n - 1]
+                      : nullptr;
+    if (left != nullptr && left->lba + left->count > lba) {
+        cut(*left, lba);
+        left->count = lba - left->lba;
+    }
+
+    // Walk right through the linked leaves over every entry that
+    // starts inside the range. The gap ends at slot `stop` of leaf
+    // `last`; leaves drained in between (never `first`) are freed.
+    Leaf *last = first;
+    std::uint32_t stop = j;
+    for (;;) {
+        while (!has_tail && stop < last->n &&
+               last->entries[stop].lba < end) {
+            const Entry &entry = last->entries[stop++];
+            cut(entry, entry.lba);
+        }
+        if (has_tail || stop < last->n || last->next == nullptr ||
+            last->next->entries[0].lba >= end)
+            break;
+        Leaf *following = last->next;
+        if (last != first) {
+            entryCount_ -= last->n;
+            removeLeaf(last);
+        }
+        last = following;
+        stop = 0;
+    }
+
+    // Coalesce with the entry after the gap (the tail, else the
+    // first one kept) and the one before it, where both logically
+    // and physically contiguous.
+    Entry run{lba, pba, count};
+    Leaf *after = stop < last->n ? last : last->next;
+    const Entry *right =
+        has_tail ? &tail
+        : after != nullptr ? &after->entries[after == last ? stop : 0]
+                           : nullptr;
+    if (right != nullptr && right->lba == end &&
+        right->pba == pba + count) {
+        run.count += right->count;
+        if (has_tail)
+            has_tail = false;
+        else if (after == last)
+            ++stop;
+        else
+            spliceLeaf(after, 0, 1, nullptr, 0);
+    }
+    const bool merge_left = left != nullptr &&
+                            left->lba + left->count == lba &&
+                            left->pba + left->count == pba;
+    if (merge_left)
+        left->count += run.count; // its start, so its leaf, stays
+
+    // The tail starts at end. Entries are placed by their start, so
+    // the last entry of a leaf can run past the next separator (a
+    // cross-leaf merge grows one that way); its tail may then route
+    // to the next leaf, and goes to the front of it.
+    if (has_tail && stop == last->n && last->next != nullptr &&
+        descend(end) != last) {
+        spliceLeaf(last->next, 0, 0, &tail, 1);
+        has_tail = false;
+    }
+
+    cursor_ = first; // a free below resets it
+    Entry fill[2] = {};
+    std::uint32_t filled = 0;
+    if (!merge_left)
+        fill[filled++] = run;
+    if (last == first) {
+        if (has_tail)
+            fill[filled++] = tail;
+        spliceLeaf(first, j, stop, fill, filled);
+    } else {
+        spliceLeaf(last, 0, stop, &tail, has_tail ? 1 : 0);
+        spliceLeaf(first, j, first->n, fill, filled);
+    }
     mappedSectors_ += count;
-
-    // Coalesce with both neighbors where logically and physically
-    // contiguous.
-    it = tryMergeWithPrev(it);
-    Pos after = it;
-    next(after);
-    if (after.leaf != nullptr)
-        tryMergeWithPrev(after);
 }
 
 void

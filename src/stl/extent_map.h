@@ -137,9 +137,10 @@ class ExtentMap
      * contiguous both logically and physically are coalesced.
      *
      * @param displaced If non-null, receives the physical ranges
-     *        whose mappings this update invalidated — the sectors
-     *        that just became dead space (used by cleaning layers
-     *        to track per-segment liveness).
+     *        whose mappings this update invalidated, one piece per
+     *        overlapped entry in LBA order — the sectors that just
+     *        became dead space (used by cleaning layers to track
+     *        per-segment liveness). Appended to, not cleared.
      */
     void mapRange(Lba lba, Pba pba, SectorCount count,
                   std::vector<SectorExtent> *displaced = nullptr);
@@ -215,7 +216,8 @@ class ExtentMap
      * children[i] has lba in [keys[i], keys[i+1]) (keys[0] acts as
      * negative infinity and is never compared; keys[n] as positive
      * infinity). All mutations preserve it, which is what makes
-     * separator-routed inserts land on the globally correct leaf.
+     * the separator-routed descent of mapRange land on the leaf
+     * where the new run belongs.
      */
     struct Inner
     {
@@ -247,24 +249,23 @@ class ExtentMap
     /** First position with entry lba > lba (end() if none). */
     Pos upperBound(Lba lba) const;
 
-    /** First position with entry lba >= lba (end() if none). */
-    Pos lowerBound(Lba lba) const;
-
     /** Step p back one entry; false (p untouched) at begin(). */
     bool tryPrev(Pos &p) const;
 
     /** Step p forward one entry (to end() at the last). */
     void next(Pos &p) const;
 
-    /** Insert an entry at its routed position; panics if its lba is
-     *  already present. Returns the entry's position. */
-    Pos insertEntry(const Entry &entry);
+    /**
+     * Replace slots [from, to) of leaf with the `count` (at most 2)
+     * entries at fill, in one shift. A leaf this drains is freed; one
+     * it would overflow is split instead.
+     */
+    void spliceLeaf(Leaf *leaf, std::uint32_t from, std::uint32_t to,
+                    const Entry *fill, std::uint32_t count);
 
-    /** Remove the entry at p; returns the following position. */
-    Pos erasePos(Pos p);
-
-    /** Split a full leaf, linking and reparenting the upper half. */
-    Leaf *splitLeaf(Leaf *leaf);
+    /** Split n > kNodeCapacity sorted entries between leaf and a
+     *  new right sibling, linking and reparenting the upper half. */
+    void splitLeaf(Leaf *leaf, const Entry *entries, std::uint32_t n);
 
     /** Hook `right` (with separator key) next to `left` in the
      *  parent, growing the tree at the root as needed. */
@@ -279,17 +280,6 @@ class ExtentMap
     void removeLeaf(Leaf *leaf);
 
     void collapseRoot();
-
-    /** Split any entry straddling sector so no entry crosses it. */
-    void splitAt(Lba sector);
-
-    /** Erase all whole entries inside [lo, hi), reporting their
-     *  physical ranges through displaced when requested. */
-    void eraseRange(Lba lo, Lba hi,
-                    std::vector<SectorExtent> *displaced);
-
-    /** Coalesce the entry at p with its predecessor if possible. */
-    Pos tryMergeWithPrev(Pos p);
 
     Leaf *allocLeaf();
     void freeLeaf(Leaf *leaf);

@@ -162,9 +162,7 @@ std::vector<Segment>
 ReferenceFiniteLog::translateRead(const SectorExtent &extent) const
 {
     panicIf(extent.empty(), "ReferenceFiniteLog: empty read");
-    SegmentBuffer out;
-    map_.translateInto(extent, out);
-    return std::move(out).take();
+    return map_.translate(extent);
 }
 
 std::uint32_t

@@ -13,8 +13,10 @@
  *
  * GcPolicy differential tests replay randomized workloads through
  * both layers and require identical placements, cleaning accesses,
- * maps and segment states. Do not modernize this file — its value
- * is that it does not change.
+ * maps and segment states. Its map is the std::map
+ * ReferenceExtentMap, so the comparison shares no code with the
+ * optimised ExtentMap either. Do not modernize this file — its
+ * value is that it does not change.
  */
 
 #ifndef LOGSEEK_STL_TESTING_REFERENCE_FINITE_LOG_H
@@ -27,6 +29,7 @@
 
 #include "stl/extent_map.h"
 #include "stl/finite_log.h"
+#include "stl/testing/reference_extent_map.h"
 #include "stl/translation_layer.h"
 
 namespace logseek::stl::testing
@@ -61,7 +64,6 @@ class ReferenceFiniteLog
     {
         return segments_[i].free;
     }
-    const ExtentMap &extentMap() const { return map_; }
     const std::map<Pba, std::pair<Lba, SectorCount>> &
     reverseMap() const
     {
@@ -85,7 +87,7 @@ class ReferenceFiniteLog
     Pba logStart_;
     SectorCount segmentSectors_;
     std::vector<SegmentState> segments_;
-    ExtentMap map_;
+    ReferenceExtentMap map_;
     std::map<Pba, std::pair<Lba, SectorCount>> reverse_;
     std::uint32_t openSegment_ = 0;
     Pba writePtr_;

@@ -29,6 +29,15 @@ stemOf(const std::string &path)
     return path.substr(begin, dot - begin);
 }
 
+/** The output extension names no format. The message names no flag:
+ *  each caller spells its own (or has none). */
+Status
+unknownOutputFormat(const std::string &path)
+{
+    return invalidArgumentError("cannot infer the output format of '" +
+                                path + "'; name it *.csv or *.lskc");
+}
+
 StatusOr<std::uint64_t>
 fileBytes(const std::string &path)
 {
@@ -95,10 +104,7 @@ tryWriteTraceFile(const std::string &path, const Trace &trace,
     case TraceFormat::Auto:
         break;
     }
-    return invalidArgumentError(
-        "cannot infer the output format of '" + path +
-        "'; name it *.csv/*.lskc or pass "
-        "--trace-format");
+    return unknownOutputFormat(path);
 }
 
 StatusOr<ConvertSummary>
@@ -117,10 +123,7 @@ tryConvertTraceFile(const std::string &in_path,
                           ? out_format
                           : formatFromPath(out_path);
     if (out == TraceFormat::Auto)
-        return invalidArgumentError(
-            "cannot infer the output format of '" + out_path +
-            "'; name it *.csv/*.lskc or pass "
-            "--trace-format");
+        return unknownOutputFormat(out_path);
 
     StatusOr<Trace> trace =
         tryLoadTraceFile(in_path, resolved_in.value());

@@ -329,6 +329,30 @@ TEST(LskcTrace, ConversionRoundTripPreservesRecords)
     std::remove(again.c_str());
 }
 
+TEST(LskcTrace, UnknownOutputExtensionNamesNoFlag)
+{
+    // Neither writer nor converter can infer a format from ".txt";
+    // the error must not point at a flag the caller may not have.
+    Trace trace("ext");
+    trace.appendWrite(0, 8);
+    const std::string txt = "/tmp/logseek_lskc_ext_" +
+                            std::to_string(::getpid()) + ".txt";
+    const std::string lskc = tempPath("ext");
+    ASSERT_TRUE(tryWriteTraceFile(lskc, trace).ok());
+    const auto converted = tryConvertTraceFile(lskc, txt);
+    ASSERT_FALSE(converted.ok());
+    for (const Status &status :
+         {tryWriteTraceFile(txt, trace), converted.status()}) {
+        EXPECT_EQ(status.code(), StatusCode::InvalidArgument);
+        EXPECT_NE(status.message().find("*.lskc"), std::string::npos);
+        EXPECT_EQ(status.message().find("--"), std::string::npos)
+            << status.message();
+    }
+
+    std::remove(lskc.c_str());
+    std::remove(txt.c_str());
+}
+
 TEST(LskcTrace, ParseTraceFormatIsStrict)
 {
     EXPECT_TRUE(parseTraceFormat("auto").ok());
