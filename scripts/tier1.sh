@@ -39,7 +39,12 @@
 # asan preset and runs the fault matrix at small scale with an
 # elevated fault rate, writing BENCH_device_faults.smoke.json — so
 # the zoned-device recovery paths (retry, zone resets, degraded
-# reads) execute under ASan+UBSan on every push.
+# reads) execute under ASan+UBSan on every push. It then diffs the
+# sanitized device_fault_sweep 0.002 --fault-rate=0.01 --jobs 1
+# table and JSON byte for byte against tests/golden/ (check_golden.sh
+# device) and runs the ZonedDevice* suites, so the memoised fault
+# scan is checked against the golden and the per-sector reference
+# reader under ASan+UBSan.
 #
 # The extra mode `crash-smoke` builds crash_recovery_bench under
 # the asan preset and runs the reduced crash matrix (power-loss
@@ -150,10 +155,14 @@ run_fault_smoke() {
     echo "==> tier1: fault-smoke"
     cmake --preset asan
     cmake --build --preset asan -j "${JOBS}" \
-        --target device_fault_sweep
+        --target device_fault_sweep disk_tests
     build-asan/bench/device_fault_sweep 0.002 \
         --fault-rate=0.01 --jobs=2 \
         --json=BENCH_device_faults.smoke.json
+    tests/golden/check_golden.sh device \
+        build-asan/bench/device_fault_sweep "${SCRATCH}/golden"
+    ctest --test-dir build-asan -R "ZonedDevice" \
+        --output-on-failure -j "${JOBS}"
 }
 
 run_crash_smoke() {

@@ -1,6 +1,7 @@
 #include "zoned_device.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -174,6 +175,72 @@ ZonedDevice::discoverDefect(std::size_t index,
                                      : ZoneCondition::ReadOnly);
 }
 
+const ZonedDevice::SuspectBits &
+ZonedDevice::suspectBits(std::uint64_t block)
+{
+    const auto [it, inserted] = faultMap_.try_emplace(block);
+    if (!inserted)
+        return it->second;
+    // Per sector, one hash of (seed, sector) and one salted hash
+    // per fault question, each compared against its integer
+    // threshold. Which question fired is settled on the slow path.
+    const std::uint64_t seed = options_.faults.seed;
+    const std::uint64_t base = block * kFaultBlockSectors;
+    for (std::uint64_t i = 0; i < kFaultBlockSectors; ++i) {
+        const std::uint64_t h = mix64(seed ^ (base + i));
+        const bool suspect =
+            (mix64(h ^ kGrownSalt) >> 11) < grownThreshold_ ||
+            (mix64(h ^ kTransientSalt) >> 11) < transientThreshold_;
+        it->second[i / 64] |= std::uint64_t{suspect} << (i % 64);
+    }
+    return it->second;
+}
+
+bool
+ZonedDevice::readSuspect(std::size_t index, std::uint64_t sector,
+                         DeviceReadResult &out)
+{
+    if (knownDefects_.contains(sector)) {
+        // Known-bad: fail fast, no pointless retries.
+        ++out.failedSectors;
+        return true;
+    }
+    // Grown takes precedence over transient.
+    const std::uint64_t h = mix64(options_.faults.seed ^ sector);
+    if ((mix64(h ^ kGrownSalt) >> 11) >= grownThreshold_) {
+        mediaErrorsTransient_->add();
+        const auto [retries, recovered] = recoverSector(
+            sector,
+            static_cast<std::int32_t>(requiredRetries(sector)));
+        out.retries += retries;
+        if (recovered) {
+            ++out.recoveredSectors;
+            errorLog_.append({sector, retries, Status()});
+        } else {
+            ++out.failedSectors;
+            errorLog_.append(
+                {sector, retries,
+                 deviceError(DeviceErrc::TransientMediaError,
+                             "sector " + std::to_string(sector) +
+                                 " unrecovered after " +
+                                 std::to_string(retries) +
+                                 " retries")});
+        }
+        return true;
+    }
+    mediaErrorsGrown_->add();
+    const auto [retries, recovered] = recoverSector(sector, -1);
+    (void)recovered;
+    out.retries += retries;
+    ++out.failedSectors;
+    errorLog_.append({sector, retries,
+                      deviceError(DeviceErrc::GrownDefect,
+                                  "sector " + std::to_string(sector) +
+                                      " is a grown defect")});
+    discoverDefect(index, sector);
+    return zones_.zone(index).condition != ZoneCondition::Offline;
+}
+
 DeviceReadResult
 ZonedDevice::readPiece(std::size_t index,
                        const SectorExtent &piece)
@@ -188,68 +255,39 @@ ZonedDevice::readPiece(std::size_t index,
     if (grownThreshold_ == 0 && transientThreshold_ == 0)
         return out;
 
-    // The hot loop: per sector, one hash of (seed, sector) and one
-    // salted hash per fault question, each compared against its
-    // integer threshold (grown takes precedence over transient).
-    // Only a faulty sector leaves it.
-    const std::uint64_t seed = options_.faults.seed;
+    // The hot loop: one fault-map lookup per block the piece
+    // touches, then only the set bits of the words inside the
+    // piece, in ascending sector order. Only a suspect sector
+    // leaves it.
     const std::uint64_t end = piece.end();
-    for (std::uint64_t sector = piece.start; sector < end;
-         ++sector) {
-        const std::uint64_t h = mix64(seed ^ sector);
-        const bool grown =
-            (mix64(h ^ kGrownSalt) >> 11) < grownThreshold_;
-        if (!grown && (mix64(h ^ kTransientSalt) >> 11) >=
-                          transientThreshold_) [[likely]]
-            continue;
-        if (knownDefects_.contains(sector)) {
-            // Known-bad: fail fast, no pointless retries.
-            ++out.failedSectors;
-            continue;
-        }
-        if (!grown) {
-            mediaErrorsTransient_->add();
-            const auto [retries, recovered] = recoverSector(
-                sector, static_cast<std::int32_t>(
-                            requiredRetries(sector)));
-            out.retries += retries;
-            if (recovered) {
-                ++out.recoveredSectors;
-                errorLog_.append({sector, retries, Status()});
-            } else {
-                ++out.failedSectors;
-                errorLog_.append(
-                    {sector, retries,
-                     deviceError(
-                         DeviceErrc::TransientMediaError,
-                         "sector " + std::to_string(sector) +
-                             " unrecovered after " +
-                             std::to_string(retries) +
-                             " retries")});
+    for (std::uint64_t block = piece.start / kFaultBlockSectors;
+         block * kFaultBlockSectors < end; ++block) {
+        const std::uint64_t base = block * kFaultBlockSectors;
+        const SuspectBits &bits = suspectBits(block);
+        const std::uint64_t first =
+            piece.start > base ? (piece.start - base) / 64 : 0;
+        const std::uint64_t last =
+            std::min((end - base + 63) / 64, bits.size());
+        for (std::uint64_t w = first; w < last; ++w)
+            for (std::uint64_t word = bits[w]; word != 0;
+                 word &= word - 1) {
+                const std::uint64_t sector =
+                    base + w * 64 +
+                    static_cast<std::uint64_t>(std::countr_zero(word));
+                if (sector < piece.start)
+                    continue;
+                if (sector >= end)
+                    return out;
+                if (!readSuspect(index, sector, out)) {
+                    // checkRead refused an offline zone up front,
+                    // and only discoverDefect takes one offline: if
+                    // this defect did, the rest of the piece is
+                    // lost.
+                    out.failedSectors +=
+                        clampToU32(end - sector - 1);
+                    return out;
+                }
             }
-        } else {
-            mediaErrorsGrown_->add();
-            const auto [retries, recovered] =
-                recoverSector(sector, -1);
-            (void)recovered;
-            out.retries += retries;
-            ++out.failedSectors;
-            errorLog_.append(
-                {sector, retries,
-                 deviceError(DeviceErrc::GrownDefect,
-                             "sector " +
-                                 std::to_string(sector) +
-                                 " is a grown defect")});
-            discoverDefect(index, sector);
-            // checkRead refused an offline zone up front, and only
-            // discoverDefect takes one offline: if this defect did,
-            // the rest of the piece is lost.
-            if (zones_.zone(index).condition ==
-                ZoneCondition::Offline) {
-                out.failedSectors += clampToU32(end - sector - 1);
-                break;
-            }
-        }
     }
     return out;
 }

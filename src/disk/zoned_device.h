@@ -25,8 +25,10 @@
 #ifndef LOGSEEK_DISK_ZONED_DEVICE_H
 #define LOGSEEK_DISK_ZONED_DEVICE_H
 
+#include <array>
 #include <cstdint>
 #include <deque>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "disk/zone.h"
@@ -283,10 +285,11 @@ class ZonedDevice
     void fillTo(std::uint64_t end_sector);
 
     /**
-     * A media read of `extent`. Traverses the fault model sector
-     * by sector; transient sectors are retried with backoff, and
-     * sectors that exhaust the budget (or hit grown defects /
-     * offline zones) are counted as failed rather than thrown.
+     * A media read of `extent`. Visits the extent's faulty sectors
+     * in ascending order (found through the memoised fault map);
+     * transient sectors are retried with backoff, and sectors that
+     * exhaust the budget (or hit grown defects / offline zones)
+     * are counted as failed rather than thrown.
      */
     DeviceReadResult read(const SectorExtent &extent);
 
@@ -331,6 +334,27 @@ class ZonedDevice
     /** Handle a newly discovered grown defect in zone `index`. */
     void discoverDefect(std::size_t index, std::uint64_t sector);
 
+    /** Sectors per fault-map block: one 512-bit suspect bitmap. */
+    static constexpr std::uint64_t kFaultBlockSectors = 512;
+
+    /** Bit i set: sector block * kFaultBlockSectors + i fails its
+     *  grown or its transient test. */
+    using SuspectBits =
+        std::array<std::uint64_t, kFaultBlockSectors / 64>;
+
+    /** The suspect bitmap of `block`, hashed on first use. */
+    const SuspectBits &suspectBits(std::uint64_t block);
+
+    /**
+     * The slow path for one suspect sector of a readable piece in
+     * zone `index`: fail fast on a known defect, else recover a
+     * transient sector or discover a grown one.
+     * @return False when a discovered defect took the zone
+     *         OFFLINE, so the rest of the piece is lost.
+     */
+    bool readSuspect(std::size_t index, std::uint64_t sector,
+                     DeviceReadResult &out);
+
     DeviceReadResult readPiece(std::size_t index,
                                const SectorExtent &piece);
     DeviceWriteResult writePiece(std::size_t index,
@@ -347,6 +371,13 @@ class ZonedDevice
 
     /** Jitter stream for recovery backoff (wall-clock only). */
     Rng rng_;
+
+    /**
+     * The fault map: suspect bitmaps of the blocks read so far. A
+     * pure function of (seed, thresholds), so it holds no zone
+     * state and a lookup always equals a fresh hash.
+     */
+    std::unordered_map<std::uint64_t, SuspectBits> faultMap_;
 
     /** Grown defects already discovered: later reads fail fast. */
     std::unordered_set<std::uint64_t> knownDefects_;

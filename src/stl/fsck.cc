@@ -145,13 +145,15 @@ checkLogStructured(const LogStructuredLayer &layer,
         for (const JournalEntry &entry : record.entries)
             expected.mapRange(entry.lba, entry.pba, entry.count);
     }
+    // The layer's map, collected once for both checks.
+    const std::vector<JournalEntry> actual =
+        collectEntries(layer.extentMap());
     compareEntries(out, "map-log-agreement",
-                   collectEntries(expected),
-                   collectEntries(layer.extentMap()));
+                   collectEntries(expected), actual);
     checkFrontier(out, scan, layer.logStart(),
                   layer.writeFrontier(), layer.zoneCrossings());
-    checkPlacementBounds(out, collectEntries(layer.extentMap()),
-                         layer.logStart(), layer.writeFrontier());
+    checkPlacementBounds(out, actual, layer.logStart(),
+                         layer.writeFrontier());
 }
 
 void
@@ -217,9 +219,11 @@ checkFiniteLog(const FiniteLogStructuredLayer &layer,
             break;
         }
     }
+    // The layer's map, collected once for every check below.
+    std::vector<JournalEntry> actual =
+        collectEntries(layer.extentMap());
     compareEntries(out, "map-log-agreement",
-                   collectEntries(expected),
-                   collectEntries(layer.extentMap()));
+                   collectEntries(expected), actual);
     if (layer.cleanings() != expected_cleanings)
         report(out, "cleaning-count",
                "layer reclaimed " +
@@ -324,8 +328,7 @@ checkFiniteLog(const FiniteLogStructuredLayer &layer,
               [](const JournalEntry &a, const JournalEntry &b) {
                   return a.lba < b.lba;
               });
-    compareEntries(out, "reverse-bijection",
-                   collectEntries(layer.extentMap()),
+    compareEntries(out, "reverse-bijection", std::move(actual),
                    std::move(from_reverse));
 
     // Liveness accounting: per-segment live counters must equal the
@@ -429,9 +432,10 @@ checkMediaCache(const MediaCacheLayer &layer,
             break;
         }
     }
+    const std::vector<JournalEntry> actual =
+        collectEntries(layer.extentMap());
     compareEntries(out, "map-log-agreement",
-                   collectEntries(expected),
-                   collectEntries(layer.extentMap()));
+                   collectEntries(expected), actual);
     if (layer.cacheUsedSectors() != expected_used)
         report(out, "cache-accounting",
                "cache holds " +
@@ -452,8 +456,7 @@ checkMediaCache(const MediaCacheLayer &layer,
                    " disagrees with cacheStart + used = " +
                    std::to_string(layer.cacheStart() +
                                   layer.cacheUsedSectors()));
-    checkPlacementBounds(out, collectEntries(layer.extentMap()),
-                         layer.cacheStart(),
+    checkPlacementBounds(out, actual, layer.cacheStart(),
                          layer.cachePointer());
 }
 

@@ -81,6 +81,24 @@ mix64(std::uint64_t x)
 /** Frame overhead of the LCKP framing: magic + length + CRC. */
 constexpr std::size_t kFrameHeader = 12;
 
+/** Append the payload of one record to `out`. */
+void
+putRecord(std::string &out, JournalRecordKind kind,
+          std::uint64_t epoch, Pba frontier_after, std::uint64_t aux,
+          std::span<const JournalEntry> entries)
+{
+    putU8(out, static_cast<std::uint8_t>(kind));
+    putU64(out, epoch);
+    putU64(out, frontier_after);
+    putU64(out, aux);
+    putU32(out, static_cast<std::uint32_t>(entries.size()));
+    for (const JournalEntry &entry : entries) {
+        putU64(out, entry.lba);
+        putU64(out, entry.pba);
+        putU64(out, entry.count);
+    }
+}
+
 } // namespace
 
 std::string
@@ -88,16 +106,8 @@ encodeJournalRecord(const JournalRecord &record)
 {
     std::string out;
     out.reserve(1 + 8 * 3 + 4 + record.entries.size() * 24);
-    putU8(out, static_cast<std::uint8_t>(record.kind));
-    putU64(out, record.epoch);
-    putU64(out, record.frontierAfter);
-    putU64(out, record.aux);
-    putU32(out, static_cast<std::uint32_t>(record.entries.size()));
-    for (const JournalEntry &entry : record.entries) {
-        putU64(out, entry.lba);
-        putU64(out, entry.pba);
-        putU64(out, entry.count);
-    }
+    putRecord(out, record.kind, record.epoch, record.frontierAfter,
+              record.aux, record.entries);
     return out;
 }
 
@@ -173,13 +183,11 @@ SegmentJournal::record(JournalRecordKind kind, Pba frontier_after,
                        std::uint64_t aux,
                        std::span<const JournalEntry> entries)
 {
-    JournalRecord rec;
-    rec.kind = kind;
-    rec.epoch = ++epoch_;
-    rec.frontierAfter = frontier_after;
-    rec.aux = aux;
-    rec.entries.assign(entries.begin(), entries.end());
-    appendCheckpointFrame(image_, encodeJournalRecord(rec));
+    // The payload is encoded straight into the image; sealing the
+    // frame patches its length and CRC over the appended bytes.
+    const std::size_t frame = openCheckpointFrame(image_);
+    putRecord(image_, kind, ++epoch_, frontier_after, aux, entries);
+    sealCheckpointFrame(image_, frame);
 }
 
 void

@@ -24,11 +24,10 @@ constexpr std::string_view kFrameMagic{"LCKP", 4};
 constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 4;
 
 void
-putLe32(std::string &out, std::uint32_t value)
+patchLe32(std::string &out, std::size_t at, std::uint32_t value)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(
-            static_cast<char>((value >> (8 * i)) & 0xff));
+    for (std::size_t i = 0; i < 4; ++i)
+        out[at + i] = static_cast<char>((value >> (8 * i)) & 0xff);
 }
 
 std::uint32_t
@@ -123,13 +122,31 @@ Crc32::update(std::string_view bytes)
     state_ = crc;
 }
 
+std::size_t
+openCheckpointFrame(std::string &out)
+{
+    const std::size_t frame = out.size();
+    out.append(kFrameMagic);
+    out.append(kFrameHeaderBytes - kFrameMagic.size(), '\0');
+    return frame;
+}
+
+void
+sealCheckpointFrame(std::string &out, std::size_t frame)
+{
+    const std::string_view payload =
+        std::string_view(out).substr(frame + kFrameHeaderBytes);
+    patchLe32(out, frame + 4,
+              static_cast<std::uint32_t>(payload.size()));
+    patchLe32(out, frame + 8, crc32(payload));
+}
+
 void
 appendCheckpointFrame(std::string &out, std::string_view payload)
 {
-    out.append(kFrameMagic);
-    putLe32(out, static_cast<std::uint32_t>(payload.size()));
-    putLe32(out, crc32(payload));
+    const std::size_t frame = openCheckpointFrame(out);
     out.append(payload);
+    sealCheckpointFrame(out, frame);
 }
 
 CheckpointLoad

@@ -60,6 +60,19 @@ class Crc32
 void appendCheckpointFrame(std::string &out,
                            std::string_view payload);
 
+/**
+ * Start a frame whose payload is encoded in place: append the
+ * header, with its length and CRC left zero, to `out` and return
+ * the frame's offset. Append the payload bytes to `out`, then
+ * sealCheckpointFrame(out, offset); the image is then byte for
+ * byte what appendCheckpointFrame would have produced.
+ */
+std::size_t openCheckpointFrame(std::string &out);
+
+/** Patch the length and CRC of the frame opened at `frame` to
+ *  cover everything appended to `out` since. */
+void sealCheckpointFrame(std::string &out, std::size_t frame);
+
 /** What a (possibly damaged) checkpoint file parsed to. */
 struct CheckpointLoad
 {

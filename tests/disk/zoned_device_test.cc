@@ -355,9 +355,19 @@ expectSameStats(const DeviceStats &got, const DeviceStats &want)
     EXPECT_EQ(got.crashes, want.crashes);
 }
 
-/** Random reads (crossing zone boundaries, some past the filled
- *  region) through the device and the reference, compared read by
- *  read and in every piece of final state. */
+/** The device's fault-map block, restated: the rereads below aim
+ *  at its edges. */
+constexpr std::uint64_t kFaultBlock = 512;
+
+/**
+ * Random reads (crossing zone boundaries, some past the filled
+ * region) through the device and the reference, then rereads of
+ * the same media, compared read by read and in every piece of
+ * final state. The rereads hit the device's memoised fault map: a
+ * block hashed by an earlier read, a grown defect found by one
+ * (which must now fail fast), a piece starting or ending inside a
+ * word of the suspect bitmap.
+ */
 void
 runFaultScanDifferential(const ZonedDeviceOptions &options,
                          std::uint64_t anchor, std::uint64_t seed)
@@ -368,16 +378,39 @@ runFaultScanDifferential(const ZonedDeviceOptions &options,
     device.fillTo(filled);
     reference.fillTo(filled);
 
-    Rng rng(seed);
-    for (int i = 0; i < 60; ++i) {
-        const SectorExtent extent{
-            rng.nextUint(filled + 4 * kZoneSectors),
-            1 + rng.nextUint(3 * kZoneSectors)};
-        SCOPED_TRACE("read " + std::to_string(i) + " [" +
+    int reads = 0;
+    auto compare = [&](const SectorExtent &extent) {
+        SCOPED_TRACE("read " + std::to_string(reads++) + " [" +
                      std::to_string(extent.start) + ", +" +
                      std::to_string(extent.count) + ")");
         expectSameRead(device.read(extent), reference.read(extent));
+    };
+
+    Rng rng(seed);
+    std::vector<SectorExtent> first;
+    for (int i = 0; i < 60; ++i) {
+        first.push_back({rng.nextUint(filled + 4 * kZoneSectors),
+                         1 + rng.nextUint(3 * kZoneSectors)});
+        compare(first.back());
     }
+
+    // Every earlier extent again, then a sub-range inside it and
+    // a range overlapping its tail.
+    for (const SectorExtent &extent : first)
+        compare(extent);
+    for (const SectorExtent &extent : first) {
+        const SectorCount third = extent.count / 3;
+        compare({extent.start + third, third + 1});
+        compare({extent.start + extent.count / 2, extent.count});
+    }
+    // Single sectors on both sides of each block edge.
+    for (std::uint64_t edge = kFaultBlock;
+         edge <= filled + 4 * kZoneSectors; edge += kFaultBlock)
+        for (const std::uint64_t sector :
+             {edge - 1, edge, edge + 1})
+            compare({sector, 1});
+    // One extent over several blocks, from the anchor zone on.
+    compare({0, filled + 2 * kZoneSectors});
 
     expectSameStats(device.stats(), reference.stats());
     const auto &got = device.readErrorLog();

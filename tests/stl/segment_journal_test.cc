@@ -79,6 +79,26 @@ TEST(SegmentJournal, ScanReplaysCleanJournalCompletely)
     }
 }
 
+TEST(SegmentJournal, RecordFramesMatchTheCodec)
+{
+    // record() encodes each frame straight into the image; the
+    // bytes must equal framing the codec's payload.
+    const std::vector<JournalRecord> records{
+        placement(1, 4096, {{0, 4096, 8}, {100, 4104, 16}}),
+        placement(2, 9000, {}),
+        {JournalRecordKind::SegmentReset, 3, 5120, 3, {}},
+        {JournalRecordKind::MergeReset, 4, 4096, 11, {}},
+    };
+    SegmentJournal journal;
+    std::string want;
+    for (const JournalRecord &record : records) {
+        journal.record(record.kind, record.frontierAfter, record.aux,
+                       record.entries);
+        appendCheckpointFrame(want, encodeJournalRecord(record));
+    }
+    EXPECT_EQ(journal.image(), want);
+}
+
 TEST(SegmentJournal, ScanTruncatesAtEpochGap)
 {
     // Epochs 1, 2, 4: frame 3 was lost whole (say its media block

@@ -72,6 +72,25 @@ TEST(Crc32, MatchesTheIeeeCheckValue)
     EXPECT_NE(crc32("a"), crc32("b"));
 }
 
+TEST(Checkpoint, FrameLayoutIsPinned)
+{
+    // magic, little-endian length, little-endian CRC, payload.
+    std::string image = "prefix";
+    appendCheckpointFrame(image, "123456789");
+    EXPECT_EQ(image, std::string("prefixLCKP\x09\0\0\0\x26\x39\xf4\xcb"
+                                 "123456789",
+                                 6 + 12 + 9));
+
+    // A frame encoded in place is the same bytes.
+    std::string in_place = "prefix";
+    const std::size_t frame = openCheckpointFrame(in_place);
+    EXPECT_EQ(frame, 6U);
+    in_place += "12345";
+    in_place += "6789";
+    sealCheckpointFrame(in_place, frame);
+    EXPECT_EQ(in_place, image);
+}
+
 TEST(Checkpoint, EmptyImageParsesClean)
 {
     const CheckpointLoad load = parseCheckpoint("");
